@@ -251,7 +251,8 @@ bench-json:
 	dune exec bench/main.exe -- --run ext-delta --fast
 
 # Full-size delta benchmark: asserts the >= 50x swap-vs-full-estimate
-# speedup at n = 100k gates and refreshes the delta-swap bench entry.
+# speedup and a cold state build within 2x of one full exact estimate
+# at n = 100k gates, and refreshes the delta-swap bench entry.
 bench-delta:
 	dune exec bench/main.exe -- --run ext-delta
 

@@ -1275,6 +1275,7 @@ let run_ext_delta () =
   let swap_s = total_j /. float_of_int swaps in
   let swaps_per_s = if swap_s > 0.0 then 1.0 /. swap_s else 0.0 in
   let speedup = if swap_s > 0.0 then full_s /. swap_s else infinity in
+  let create_ratio = create_s /. full_s in
   (* Correctness anchor: the swapped-to state must report the same bits
      as a cold rebuild of its final flavor assignment (the delta test
      battery pins this per-tier; here it guards the benchmarked path). *)
@@ -1302,6 +1303,8 @@ let run_ext_delta () =
     swap_s swaps_per_s;
   Printf.printf "speedup vs full        : %10.1fx (acceptance: >= 50x)\n"
     speedup;
+  Printf.printf "cold build vs full     : %10.2fx (acceptance: <= 2x)\n"
+    create_ratio;
   Printf.printf "bitwise vs cold rebuild: ok (all three tiers)\n";
   let entry =
     Vjson.Obj
@@ -1333,7 +1336,13 @@ let run_ext_delta () =
     failwith
       (Printf.sprintf
          "ext-delta: swap speedup %.1fx below the 50x acceptance floor"
-         speedup)
+         speedup);
+  if create_ratio > 2.0 then
+    failwith
+      (Printf.sprintf
+         "ext-delta: cold build %.2fx the full exact estimate, above the 2x \
+          acceptance ceiling"
+         create_ratio)
 
 (* ------------------------------------------------------------------ *)
 

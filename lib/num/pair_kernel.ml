@@ -89,6 +89,7 @@ external acc_stub :
   int ->
   int ->
   int ->
+  int ->
   unit = "rgleak_pair_acc_bc" "rgleak_pair_acc"
 
 external acc_row_stub :
@@ -105,25 +106,36 @@ external acc_row_stub :
   int ->
   int ->
   float ->
+  int ->
   unit = "rgleak_pair_acc_row_bc" "rgleak_pair_acc_row"
 
 let validate_scale b scale =
   if Bigarray.Array1.dim scale <> Bigarray.Array1.dim b.xs then
     invalid_arg "Pair_kernel: scale length mismatch"
 
-let acc_band b ~scale ~acc ~lo ~hi =
+let acc_band ?(isa = Auto) b ~scale ~acc ~lo ~hi =
   validate b ~lo ~hi;
   validate_scale b scale;
   acc_stub b.xs b.ys b.ty b.seg b.base b.cov scale (Xsum.raw acc) b.nu
-    b.inv_dstep b.kmax lo hi
+    b.inv_dstep b.kmax lo hi (isa_code isa)
 
-let acc_row b ~scale ~acc ~row ~srow =
+let acc_row ?(isa = Auto) b ~scale ~acc ~row ~srow =
   validate b ~lo:0 ~hi:(Bigarray.Array1.dim b.xs);
   validate_scale b scale;
   if row < 0 || row >= Bigarray.Array1.dim b.xs then
     invalid_arg "Pair_kernel: row out of range";
   acc_row_stub b.xs b.ys b.ty b.seg b.base b.cov scale (Xsum.raw acc) b.nu
-    b.inv_dstep b.kmax row srow
+    b.inv_dstep b.kmax row srow (isa_code isa)
+
+external add_block_stub :
+  (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t ->
+  float array ->
+  int ->
+  unit = "rgleak_xsum_add_block"
+[@@noalloc]
+
+let add_block ?(isa = Auto) acc terms =
+  add_block_stub (Xsum.raw acc) terms (isa_code isa)
 
 let lanes = 8
 

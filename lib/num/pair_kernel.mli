@@ -59,16 +59,25 @@ val sum_ocaml : buffers -> lo:int -> hi:int -> float
     scalar path. *)
 
 val acc_band :
-  buffers -> scale:f64 -> acc:Xsum.t -> lo:int -> hi:int -> unit
+  ?isa:isa -> buffers -> scale:f64 -> acc:Xsum.t -> lo:int -> hi:int -> unit
 (** [acc_band b ~scale ~acc ~lo ~hi] accumulates, exactly into [acc],
     the term [(scale.(a) *. scale.(b)) *. w_ab] for every pair with
     [lo <= a < hi] and [a < b], where [w_ab] is the same interpolated
-    covariance as {!sum} computes.  Because the accumulation is exact,
-    the represented value is independent of band split and iteration
-    order — [Xsum.merge] of disjoint bands equals one full pass. *)
+    covariance as {!sum} computes.  Terms are evaluated in SIMD into
+    blocks of at most 1024 and each block is reduced by error-free
+    extraction ({!add_block}).  Because the accumulation is exact, the
+    represented value is independent of band split, iteration order
+    and ISA — [Xsum.merge] of disjoint bands equals one full pass.
+    [?isa] is a test hook with {!sum}'s convention. *)
 
 val acc_row :
-  buffers -> scale:f64 -> acc:Xsum.t -> row:int -> srow:float -> unit
+  ?isa:isa ->
+  buffers ->
+  scale:f64 ->
+  acc:Xsum.t ->
+  row:int ->
+  srow:float ->
+  unit
 (** [acc_row b ~scale ~acc ~row ~srow] accumulates
     [(srow *. scale.(b)) *. w_rb] for every partner [b <> row].  The
     per-pair term doubles are identical to {!acc_band}'s for the same
@@ -76,3 +85,7 @@ val acc_row :
     symmetric; IEEE multiplication commutes), so passing
     [-.scale.(row)] retracts a row exactly and passing a new scale
     re-adds it — the O(n) swap update of the delta estimator. *)
+
+val add_block : ?isa:isa -> Xsum.t -> float array -> unit
+(** {!Xsum.add_block} on a forced ISA: the test hook that reaches the
+    scalar, AVX2 and AVX-512 reductions directly. *)

@@ -6,6 +6,13 @@ external add : t -> float -> unit = "rgleak_xsum_add" [@@noalloc]
 
 external value : t -> float = "rgleak_xsum_value"
 
+external add_block_stub : t -> float array -> int -> unit
+  = "rgleak_xsum_add_block"
+[@@noalloc]
+
+(* ISA code 0 is Pair_kernel.Auto: the widest the host runs *)
+let add_block t terms = add_block_stub t terms 0
+
 let limbs = dim ()
 
 let create () =

@@ -27,14 +27,21 @@ val add : t -> float -> unit
 (** [add t x] accumulates [x] exactly.  [add t (-.x)] retracts a
     previously added [x] exactly. *)
 
+val add_block : t -> float array -> unit
+(** [add_block t terms] accumulates every element of [terms] exactly:
+    the same represented value as folding {!add} over the array.  The
+    terms are reduced in blocks of 1024 by the error-free extraction
+    of Rump, Ogita and Oishi (2008), a few vector passes and one limb
+    add per pass instead of one limb add per term. *)
+
 val merge : into:t -> t -> unit
 (** [merge ~into src] adds [src]'s exact content into [into].
     Exact limb-wise addition: merging band partials in any order
     yields the same represented value. *)
 
 val value : t -> float
-(** Canonical correctly-rounded double of the exact sum; NaN if any
-    non-finite term was added. *)
+(** The exact sum rounded once to the nearest double (ties to even);
+    NaN if any non-finite term was added. *)
 
 val raw : t -> (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** The underlying limb buffer, for the C pair-accumulation kernels. *)

@@ -110,6 +110,154 @@ let test_xsum_poison () =
   check_true "non-finite terms poison the accumulator"
     (Float.is_nan (Xsum.value a))
 
+(* Correct rounding of the exact sum: the old most-significant-first
+   limb sum rounded twice and returned 1 for 1 + 2^-53 + 2^-80. *)
+let test_xsum_value_rounds_once () =
+  let sum terms =
+    let a = Xsum.create () in
+    List.iter (Xsum.add a) terms;
+    Xsum.value a
+  in
+  let expect name want terms =
+    let got = sum terms in
+    if bits got <> bits want then
+      Alcotest.failf "%s: got %h, want %h" name got want
+  in
+  expect "just above the tie rounds up" 0x1.0000000000001p+0
+    [ 1.0; 0x1p-53; 0x1p-80 ];
+  expect "mirrored below zero" (-0x1.0000000000001p+0)
+    [ -1.0; -0x1p-53; -0x1p-80 ];
+  expect "just below the tie rounds down" 1.0 [ 1.0; 0x1p-53; -0x1p-80 ];
+  expect "tie to even (down)" 1.0 [ 1.0; 0x1p-53 ];
+  expect "tie to even (up)" 0x1.0000000000002p+0
+    [ 1.0; 0x1p-52; 0x1p-53 ];
+  expect "far sticky bit" 0x1.0000000000001p+0 [ 1.0; 0x1p-53; 0x1p-1074 ];
+  expect "subnormal sums are exact" 0x1p-1073 [ 0x1p-1074; 0x1p-1074 ];
+  expect "half an ulp above max_float overflows" Float.infinity
+    [ Float.max_float; 0x1p970 ];
+  expect "just under that stays finite" Float.max_float
+    [ Float.max_float; 0x1p970; -0x1p-1074 ];
+  expect "exact zero" 0.0 [ 0x1p-1074; -0x1p-1074 ]
+
+(* The block reduction (error-free extraction in SIMD) against folding
+   Xsum.add over the same terms: equal Xsum.value bits on every ISA the
+   host runs, across block lengths around the 8-lane vector and the
+   1024-term block and over the awkward corners of the double range.
+   Values are compared, never raw limbs: carry-save limbs are not
+   canonical. *)
+let block_lengths = [ 0; 1; 7; 8; 1023; 1024; 1025 ]
+
+let block_isas =
+  List.filter Pair_kernel.available
+    Pair_kernel.[ Auto; Scalar; Avx2; Avx512 ]
+
+let signed rng x = if Rng.int rng 2 = 0 then x else -.x
+
+let mantissa rng = 0.5 +. Rng.float rng 0.5
+
+let block_generators =
+  [
+    ( "mixed signs, 24 decades",
+      fun rng _ ->
+        signed rng (mantissa rng *. (10.0 ** (Rng.float rng 24.0 -. 12.0))) );
+    ( "exponents over the whole range",
+      fun rng _ -> signed rng (ldexp (mantissa rng) (Rng.int rng 2098 - 1074))
+    );
+    ( "subnormals and the smallest normals",
+      fun rng _ ->
+        let m = float_of_int (1 + Rng.int rng (1 lsl 53)) in
+        signed rng (ldexp m (-1074 - Rng.int rng 2)) );
+    ( "signed zeros among tiny values",
+      fun rng i ->
+        if i mod 3 = 0 then signed rng 0.0
+        else signed rng (ldexp (mantissa rng) (Rng.int rng 200 - 1000)) );
+    ("near max_float", fun rng _ -> signed rng (Float.max_float *. mantissa rng));
+    ( "one huge term among unit terms",
+      fun rng i -> if i = 3 then 0x1.fp1010 else signed rng (mantissa rng) );
+    ( "unit terms over a deep-underflow tail",
+      fun rng i ->
+        if i mod 2 = 0 then signed rng (mantissa rng)
+        else signed rng (ldexp (mantissa rng) (-1000)) );
+  ]
+
+let check_block_matches_fold name terms =
+  let fold = Xsum.create () in
+  Array.iter (Xsum.add fold) terms;
+  let want = Xsum.value fold in
+  let block = Xsum.create () in
+  Xsum.add_block block terms;
+  let same got =
+    bits got = bits want || (Float.is_nan got && Float.is_nan want)
+  in
+  if not (same (Xsum.value block)) then
+    Alcotest.failf "%s: add_block gives %h, folded add %h" name
+      (Xsum.value block) want;
+  List.iter
+    (fun isa ->
+      let acc = Xsum.create () in
+      Pair_kernel.add_block ~isa acc terms;
+      if not (same (Xsum.value acc)) then
+        Alcotest.failf "%s [%s]: add_block gives %h, folded add %h" name
+          (Pair_kernel.isa_name isa) (Xsum.value acc) want)
+    block_isas
+
+let test_block_matches_fold () =
+  let rng = Rng.create ~seed:1414 () in
+  List.iter
+    (fun (gname, gen) ->
+      List.iter
+        (fun len ->
+          for trial = 1 to 3 do
+            check_block_matches_fold
+              (Printf.sprintf "%s, length %d, trial %d" gname len trial)
+              (Array.init len (gen rng))
+          done)
+        block_lengths)
+    block_generators
+
+let test_block_exact_cancellation () =
+  let rng = Rng.create ~seed:1515 () in
+  List.iter
+    (fun len ->
+      let half =
+        Array.init (len / 2) (fun _ ->
+            signed rng (ldexp (mantissa rng) (Rng.int rng 2000 - 1000)))
+      in
+      let terms = Array.append half (Array.map (fun x -> -.x) half) in
+      (* Fisher-Yates, so cancelling partners straddle block borders *)
+      for i = Array.length terms - 1 downto 1 do
+        let j = Rng.int rng (i + 1) in
+        let t = terms.(i) in
+        terms.(i) <- terms.(j);
+        terms.(j) <- t
+      done;
+      check_block_matches_fold
+        (Printf.sprintf "cancellation, length %d" len)
+        terms;
+      let acc = Xsum.create () in
+      Xsum.add_block acc terms;
+      check_true "cancelling block sums to +0"
+        (bits (Xsum.value acc) = bits 0.0))
+    [ 0; 8; 1024; 2050 ]
+
+let test_block_poison () =
+  List.iter
+    (fun bad ->
+      List.iter
+        (fun len ->
+          let terms = Array.init len (fun i -> float_of_int (i + 1)) in
+          terms.(len / 2) <- bad;
+          check_block_matches_fold
+            (Printf.sprintf "poison %h, length %d" bad len) terms;
+          let acc = Xsum.create () in
+          Xsum.add_block acc terms;
+          check_true "poisoned block reads NaN" (Float.is_nan (Xsum.value acc));
+          (* the poison survives a later clean block *)
+          Xsum.add_block acc [| 1.0; 2.0 |];
+          check_true "poison is sticky" (Float.is_nan (Xsum.value acc)))
+        [ 1; 7; 8; 1023; 1024; 1025 ])
+    [ Float.nan; Float.infinity; Float.neg_infinity; -.Float.nan ]
+
 (* ---- cold-vs-incremental equivalence ---- *)
 
 (* The acceptance battery: a 500-swap randomized sequence (self-swaps
@@ -293,6 +441,14 @@ let suite =
       Alcotest.test_case "xsum exact cancellation" `Quick
         test_xsum_exact_cancellation;
       Alcotest.test_case "xsum non-finite poison" `Quick test_xsum_poison;
+      Alcotest.test_case "xsum value rounds once, to nearest even" `Quick
+        test_xsum_value_rounds_once;
+      Alcotest.test_case "block extraction equals folded add" `Quick
+        test_block_matches_fold;
+      Alcotest.test_case "block extraction: exact cancellation" `Quick
+        test_block_exact_cancellation;
+      Alcotest.test_case "block extraction: non-finite poison" `Quick
+        test_block_poison;
       Alcotest.test_case "500-swap sequence: every state cold-equal" `Slow
         test_500_swap_sequence;
       Alcotest.test_case "swap then revert restores bits" `Quick

@@ -133,6 +133,92 @@ let test_validate_rejects () =
         { b with Pair_kernel.kmax = Bigarray.Array1.dim b.Pair_kernel.cov }
         ~lo:0 ~hi:50)
 
+(* --- exact scaled accumulation (the delta estimator's kernels) ----- *)
+
+(* Per-term oracle: the scaled pair term of the summing kernel's
+   arithmetic, folded through Xsum.add one term at a time. *)
+let acc_oracle (b : Pair_kernel.buffers) ~scale ~rows ~partner ~srow =
+  let open Bigarray.Array1 in
+  let acc = Xsum.create () in
+  List.iter
+    (fun a ->
+      let xa = get b.xs a and ya = get b.ys a in
+      for p = 0 to dim b.xs - 1 do
+        if partner a p then begin
+          let dx = get b.xs p -. xa and dy = get b.ys p -. ya in
+          let pos = sqrt ((dx *. dx) +. (dy *. dy)) *. b.inv_dstep in
+          let k = Stdlib.min b.kmax (Stdlib.max 0 (int_of_float pos)) in
+          let tb = get b.base ((get b.ty a * b.nu) + get b.ty p) in
+          let t0 = get b.cov (tb + k) and t1 = get b.cov (tb + k + 1) in
+          let w = t0 +. ((pos -. float_of_int k) *. (t1 -. t0)) in
+          Xsum.add acc ((srow a *. get scale p) *. w)
+        end
+      done)
+    rows;
+  Xsum.value acc
+
+let random_scale ~seed n =
+  let rng = Rng.create ~seed () in
+  let s = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
+  for i = 0 to n - 1 do
+    (* Vt-flavor-like spread: three decades of scale *)
+    let decade = 10.0 ** float_of_int (Rng.int rng 3 - 1) in
+    Bigarray.Array1.set s i ((0.5 +. Rng.float rng 1.0) *. decade)
+  done;
+  s
+
+let acc_isas =
+  List.filter Pair_kernel.available Pair_kernel.[ Scalar; Avx2; Avx512; Auto ]
+
+let test_acc_cross_isa () =
+  (* Exactness makes the ISA unobservable: acc_band and acc_row give the
+     per-term oracle's bits on every ISA the host runs, whatever the
+     band split or block boundaries. *)
+  let n = 1500 in
+  let b = make_buffers ~seed:21 ~n ~nu:5 ~distance_points:64 in
+  let scale = random_scale ~seed:22 n in
+  let band_want =
+    acc_oracle b ~scale ~rows:(List.init n Fun.id)
+      ~partner:(fun a p -> p > a)
+      ~srow:(Bigarray.Array1.get scale)
+  in
+  let rows = [ 0; 1; 333; 1024; n - 1 ] in
+  let row_want =
+    List.map
+      (fun r ->
+        let srow = -.Bigarray.Array1.get scale r *. 3.0 in
+        ( r,
+          srow,
+          acc_oracle b ~scale ~rows:[ r ] ~partner:(fun a p -> p <> a)
+            ~srow:(fun _ -> srow) ))
+      rows
+  in
+  List.iter
+    (fun isa ->
+      let name = Pair_kernel.isa_name isa in
+      let full = Xsum.create () in
+      Pair_kernel.acc_band ~isa b ~scale ~acc:full ~lo:0 ~hi:n;
+      check_bits (name ^ " acc_band vs per-term oracle") band_want
+        (Xsum.value full);
+      let split = Xsum.create () in
+      List.iter
+        (fun (lo, hi) ->
+          let part = Xsum.create () in
+          Pair_kernel.acc_band ~isa b ~scale ~acc:part ~lo ~hi;
+          Xsum.merge ~into:split part)
+        [ (0, 7); (7, 700); (700, 701); (701, n) ];
+      check_bits (name ^ " acc_band bands vs one pass") band_want
+        (Xsum.value split);
+      List.iter
+        (fun (row, srow, want) ->
+          let acc = Xsum.create () in
+          Pair_kernel.acc_row ~isa b ~scale ~acc ~row ~srow;
+          check_bits
+            (Printf.sprintf "%s acc_row %d vs per-term oracle" name row)
+            want (Xsum.value acc))
+        row_want)
+    acc_isas
+
 (* --- binned covariance tables (estimator staging) ----------------- *)
 
 let param = Process_param.default_channel_length
@@ -349,6 +435,8 @@ let suite =
       test_stub_matches_ocaml_mirror;
       case "SIMD paths match scalar bitwise" test_simd_matches_scalar;
       case "buffer validation rejects bad shapes" test_validate_rejects;
+      case "acc_band/acc_row: every ISA gives the per-term bits"
+        test_acc_cross_isa;
       case "binned tables match direct covariance" test_binned_tables_match_direct;
       case "estimate: cold/warm and jobs 1/2/4 bitwise" test_estimate_cold_warm_and_jobs;
       case "estimate matches row-at-a-time oracle" test_estimate_matches_reference;
