@@ -4,7 +4,7 @@
         trace metrics overhead check fault-matrix validate golden-check \
         golden-update batch-demo batch-smoke serve-smoke bench-gate \
         bench-ratchet report-demo flamegraph tail-demo optimize-demo \
-        bench-delta
+        bench-delta layering-check
 
 all: check
 
@@ -22,8 +22,18 @@ test-verbose:
 # through the CLI (the quick sweep already runs inside dune runtest).
 check: build
 	dune runtest
+	$(MAKE) layering-check
 	$(MAKE) fault-matrix
 	$(MAKE) golden-check
+
+# The runtime libraries (everything the CLI estimators, the batch engine
+# and the daemon link) must not depend on the validation harness.
+RUNTIME_LIBS := obs num process device cells circuit core cache serve
+layering-check:
+	@bad=$$(grep -l rgleak_valid $(RUNTIME_LIBS:%=lib/%/dune)); \
+	test -z "$$bad" || { \
+	  echo "FAIL: runtime libraries depend on rgleak_valid: $$bad"; exit 1; }; \
+	echo "ok: no runtime library depends on rgleak_valid"
 
 # 3 sites x 2 seeds of deterministic fault injection, driven through
 # the real binary.  Estimator-tier faults (linear.f) must exit 3 under
@@ -188,7 +198,7 @@ serve-smoke: build
 	  || { echo "FAIL: SIGTERM drain exited nonzero"; exit 1; }; \
 	test ! -e $$D/serve.sock \
 	  || { echo "FAIL: socket not unlinked after drain"; exit 1; }; \
-	grep -q '"subcommand":"serve"' $$D/ledger.jsonl \
+	grep -q '"subcommand": "serve"' $$D/ledger.jsonl \
 	  || { echo "FAIL: no final ledger line after drain"; exit 1; }; \
 	printf '%s\n' '{"id": "ex", "n": 200, "mix": "INV_X1:1", "corr": "spherical:100", "tier": "exact"}' \
 	  > $$D/exact.jsonl; \

@@ -19,7 +19,7 @@ open Rgleak_cells
 open Rgleak_circuit
 open Rgleak_core
 module Obs = Rgleak_obs.Obs
-module Vjson = Rgleak_valid.Vjson
+module Json = Rgleak_obs.Json
 
 let fast = ref false
 let jobs_override = ref None
@@ -436,38 +436,66 @@ let speedup_meaningful e = e.cpus > 1 && e.jobs_used > 1
 
 let nproc () = Domain.recommended_domain_count ()
 
-let write_bench_json ~path ~jobs entries =
+let num_i n = Json.Num (float_of_int n)
+
+let write_json ~path doc =
   let oc = open_out path in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"schema\": \"rgleak-bench-estimators/4\",\n";
-  Printf.fprintf oc "  \"jobs\": %d,\n" jobs;
-  Printf.fprintf oc "  \"nproc\": %d,\n" (nproc ());
-  Printf.fprintf oc "  \"kernel_isa\": %S,\n" (Pair_kernel.selected_isa ());
-  Printf.fprintf oc "  \"fast\": %b,\n" !fast;
-  Printf.fprintf oc "  \"entries\": [\n";
-  let last = List.length entries - 1 in
-  List.iteri
-    (fun i e ->
-      Printf.fprintf oc
-        "    { \"estimator\": %S, \"n\": %d, \"jobs\": %d, \"cpus\": %d, \
-         \"seconds\": %.6f, \"seconds_1job\": %.6f,%s\n"
-        e.estimator e.n e.jobs_used e.cpus e.seconds e.seconds_1job
-        (if speedup_meaningful e then
-           Printf.sprintf " \"speedup\": %.3f," (speedup e)
-         else "");
-      Printf.fprintf oc "      \"counters\": {%s},\n"
-        (String.concat ", "
-           (List.map (fun (k, v) -> Printf.sprintf "%S: %d" k v) e.counters));
-      Printf.fprintf oc "      \"gauges\": {%s},\n"
-        (String.concat ", "
-           (List.map (fun (k, v) -> Printf.sprintf "%S: %.6g" k v) e.gauges));
-      Printf.fprintf oc "      \"alloc\": {%s} }%s\n"
-        (String.concat ", "
-           (List.map (fun (k, v) -> Printf.sprintf "%S: %.6g" k v) e.alloc))
-        (if i = last then "" else ","))
-    entries;
-  Printf.fprintf oc "  ]\n}\n";
+  output_string oc (Json.to_string ~indent:2 doc);
   close_out oc
+
+(* Read-modify-write merge into the committed timing document: the
+   bench gate hard-fails on baseline entries missing from the current
+   run, so `--run timing` and `--run ext-delta` must never clobber each
+   other's rows — each replaces only the rows whose estimator names it
+   owns.  The header always describes the latest writer. *)
+let bench_schema = "rgleak-bench-estimators/4"
+
+let merge_bench_entries ~path entries =
+  let name e =
+    match Json.mem "estimator" e with Some (Json.Str s) -> Some s | _ -> None
+  in
+  let names = List.filter_map name entries in
+  let kept =
+    match Json.parse_file path with
+    | doc -> (
+      match (Json.mem "schema" doc, Json.mem "entries" doc) with
+      | Some (Json.Str s), Some (Json.Arr es) when s = bench_schema ->
+        List.filter
+          (fun e ->
+            match name e with Some n -> not (List.mem n names) | None -> true)
+          es
+      | _ -> [])
+    | exception (Sys_error _ | Json.Parse_error _) -> []
+  in
+  write_json ~path
+    (Json.Obj
+       [
+         ("schema", Json.Str bench_schema);
+         ("jobs", num_i (Parallel.default_jobs ()));
+         ("nproc", num_i (nproc ()));
+         ("kernel_isa", Json.Str (Pair_kernel.selected_isa ()));
+         ("fast", Json.Bool !fast);
+         ("entries", Json.Arr (kept @ entries));
+       ])
+
+let timing_entry_json e =
+  let obj f kvs = Json.Obj (List.map (fun (k, v) -> (k, f v)) kvs) in
+  let num v = Json.Num v in
+  Json.Obj
+    ([
+       ("estimator", Json.Str e.estimator);
+       ("n", num_i e.n);
+       ("jobs", num_i e.jobs_used);
+       ("cpus", num_i e.cpus);
+       ("seconds", num e.seconds);
+       ("seconds_1job", num e.seconds_1job);
+     ]
+    @ (if speedup_meaningful e then [ ("speedup", num (speedup e)) ] else [])
+    @ [
+        ("counters", obj num_i e.counters);
+        ("gauges", obj num e.gauges);
+        ("alloc", obj num e.alloc);
+      ])
 
 let run_timing () =
   let jobs =
@@ -594,7 +622,7 @@ let run_timing () =
           ~height:h ());
   Parallel.set_default_jobs jobs;
   let path = "BENCH_estimators.json" in
-  write_bench_json ~path ~jobs (List.rev !entries);
+  merge_bench_entries ~path (List.map timing_entry_json (List.rev !entries));
   Printf.printf "wrote %s\n" path
 
 (* ------------------------------------------------------------------ *)
@@ -688,29 +716,25 @@ let run_overhead () =
   Printf.printf "overhead              : %.5f%% of runtime (budget %.1f%%)\n"
     (100.0 *. overhead) (100.0 *. budget);
   let path = "BENCH_overhead.json" in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"schema\": \"rgleak-overhead/3\",\n\
-    \  \"site_ns\": %.4f,\n\
-    \  \"hist_site_ns\": %.4f,\n\
-    \  \"fault_probe_ns\": %.4f,\n\
-    \  \"sites_per_run\": %.0f,\n\
-    \  \"hist_sites_per_run\": %.0f,\n\
-    \  \"fault_sites_per_run\": %.0f,\n\
-    \  \"exact_n\": %d,\n\
-    \  \"exact_seconds\": %.6f,\n\
-    \  \"telemetry_overhead_fraction\": %.8f,\n\
-    \  \"hist_overhead_fraction\": %.8f,\n\
-    \  \"fault_overhead_fraction\": %.8f,\n\
-    \  \"overhead_fraction\": %.8f,\n\
-    \  \"budget_fraction\": %.3f,\n\
-    \  \"pass\": %b\n\
-     }\n"
-    site_ns hist_site_ns fault_ns sites hist_sites fault_sites n seconds
-    telemetry_overhead hist_overhead fault_overhead overhead budget
-    (overhead < budget);
-  close_out oc;
+  write_json ~path
+    (Json.Obj
+       [
+         ("schema", Json.Str "rgleak-overhead/3");
+         ("site_ns", Json.Num site_ns);
+         ("hist_site_ns", Json.Num hist_site_ns);
+         ("fault_probe_ns", Json.Num fault_ns);
+         ("sites_per_run", Json.Num sites);
+         ("hist_sites_per_run", Json.Num hist_sites);
+         ("fault_sites_per_run", Json.Num fault_sites);
+         ("exact_n", num_i n);
+         ("exact_seconds", Json.Num seconds);
+         ("telemetry_overhead_fraction", Json.Num telemetry_overhead);
+         ("hist_overhead_fraction", Json.Num hist_overhead);
+         ("fault_overhead_fraction", Json.Num fault_overhead);
+         ("overhead_fraction", Json.Num overhead);
+         ("budget_fraction", Json.Num budget);
+         ("pass", Json.Bool (overhead < budget));
+       ]);
   Printf.printf "wrote %s\n" path;
   if overhead >= budget then
     failwith
@@ -1171,58 +1195,6 @@ let run_ext_tail () =
 (* X12: incremental delta re-estimation vs full exact re-estimation    *)
 (* ------------------------------------------------------------------ *)
 
-(* Read-modify-write merge of extension entries into the committed
-   timing document: the bench gate hard-fails on baseline entries
-   missing from the current run, so `--run ext-delta` must never
-   clobber what `--run timing` wrote — it only replaces rows whose
-   estimator name it owns.  When the file is absent or unreadable a
-   fresh document is started instead. *)
-let bench_schema = "rgleak-bench-estimators/4"
-
-let merge_bench_entries ~path entries =
-  let names =
-    List.filter_map
-      (fun e ->
-        match Vjson.mem "estimator" e with
-        | Some (Vjson.Str s) -> Some s
-        | _ -> None)
-      entries
-  in
-  let existing =
-    match Vjson.parse_file path with
-    | doc -> (
-      match (doc, Vjson.mem "schema" doc, Vjson.mem "entries" doc) with
-      | Vjson.Obj kvs, Some (Vjson.Str s), Some (Vjson.Arr es)
-        when s = bench_schema ->
-        Some (kvs, es)
-      | _ -> None)
-    | exception (Sys_error _ | Vjson.Parse_error _) -> None
-  in
-  let header, kept =
-    match existing with
-    | Some (kvs, es) ->
-      ( List.filter (fun (k, _) -> k <> "entries") kvs,
-        List.filter
-          (fun e ->
-            match Vjson.mem "estimator" e with
-            | Some (Vjson.Str name) -> not (List.mem name names)
-            | _ -> true)
-          es )
-    | None ->
-      ( [
-          ("schema", Vjson.Str bench_schema);
-          ("jobs", Vjson.Num (float_of_int (Parallel.default_jobs ())));
-          ("nproc", Vjson.Num (float_of_int (nproc ())));
-          ("kernel_isa", Vjson.Str (Pair_kernel.selected_isa ()));
-          ("fast", Vjson.Bool !fast);
-        ],
-        [] )
-  in
-  let doc = Vjson.Obj (header @ [ ("entries", Vjson.Arr (kept @ entries)) ]) in
-  let oc = open_out path in
-  output_string oc (Vjson.to_string ~indent:2 doc);
-  close_out oc
-
 let run_ext_delta () =
   let jobs =
     match !jobs_override with Some j -> j | None -> Parallel.default_jobs ()
@@ -1307,26 +1279,26 @@ let run_ext_delta () =
     create_ratio;
   Printf.printf "bitwise vs cold rebuild: ok (all three tiers)\n";
   let entry =
-    Vjson.Obj
+    Json.Obj
       [
-        ("estimator", Vjson.Str "delta-swap");
-        ("n", Vjson.Num (float_of_int n));
-        ("jobs", Vjson.Num (float_of_int jobs));
-        ("cpus", Vjson.Num (float_of_int (nproc ())));
-        ("seconds", Vjson.Num total_j);
-        ("seconds_1job", Vjson.Num total_1);
+        ("estimator", Json.Str "delta-swap");
+        ("n", num_i n);
+        ("jobs", num_i jobs);
+        ("cpus", num_i (nproc ()));
+        ("seconds", Json.Num total_j);
+        ("seconds_1job", Json.Num total_1);
         ( "counters",
-          Vjson.Obj [ ("delta.swaps", Vjson.Num (float_of_int swaps)) ] );
+          Json.Obj [ ("delta.swaps", num_i swaps) ] );
         ( "gauges",
-          Vjson.Obj
+          Json.Obj
             [
-              ("delta.swap_s", Vjson.Num swap_s);
-              ("delta.swaps_per_s", Vjson.Num swaps_per_s);
-              ("delta.speedup_vs_full", Vjson.Num speedup);
-              ("delta.full_exact_s", Vjson.Num full_s);
-              ("delta.create_s", Vjson.Num create_s);
+              ("delta.swap_s", Json.Num swap_s);
+              ("delta.swaps_per_s", Json.Num swaps_per_s);
+              ("delta.speedup_vs_full", Json.Num speedup);
+              ("delta.full_exact_s", Json.Num full_s);
+              ("delta.create_s", Json.Num create_s);
             ] );
-        ("alloc", Vjson.Obj []);
+        ("alloc", Json.Obj []);
       ]
   in
   let path = "BENCH_estimators.json" in

@@ -128,6 +128,7 @@ module Obs = Rgleak_obs.Obs
 module Obs_export = Rgleak_obs.Export
 
 module Ledger = Rgleak_obs.Ledger
+module Json = Rgleak_obs.Json
 
 type trace_opts = {
   trace : bool;
@@ -994,12 +995,34 @@ let sleep_cmd =
        ~doc:"Search for the minimum-leakage standby vector of a benchmark")
     Term.(const run $ bench_arg $ restarts_arg $ char_arg $ robust_term $ trace_term)
 
+(* ---------- golden regression (validate, tail, optimize) ---------- *)
+
+(* Diffs [current] against the committed baseline at [--golden path],
+   if given, and prints the verdict; false on breaking drift. *)
+let golden_ok golden current =
+  let module Golden_diff = Rgleak_valid.Golden_diff in
+  match golden with
+  | None -> true
+  | Some path ->
+    let baseline =
+      try Json.parse_file path with
+      | Sys_error msg -> Guard.invalid msg
+      | Json.Parse_error msg ->
+        Guard.invalid (Printf.sprintf "bad golden file %s: %s" path msg)
+    in
+    let diff =
+      try Golden_diff.compare ~baseline ~current
+      with Json.Parse_error msg ->
+        Guard.invalid
+          (Printf.sprintf "golden file %s is not a report: %s" path msg)
+    in
+    Format.printf "%a" Golden_diff.pp diff;
+    diff.Golden_diff.severity <> Golden_diff.Breaking
+
 (* ---------- validate ---------- *)
 
 let validate_cmd =
   let module Experiment = Rgleak_valid.Experiment in
-  let module Golden_diff = Rgleak_valid.Golden_diff in
-  let module Vjson = Rgleak_valid.Vjson in
   let sweep_arg =
     Arg.(
       value
@@ -1048,28 +1071,8 @@ let validate_cmd =
         Experiment.write_json ~path report;
         Printf.printf "report written to %s\n" path)
       json;
-    let golden_ok =
-      match golden with
-      | None -> true
-      | Some path ->
-        let baseline =
-          try Vjson.parse_file path with
-          | Sys_error msg -> Guard.invalid msg
-          | Vjson.Parse_error msg ->
-            Guard.invalid (Printf.sprintf "bad golden file %s: %s" path msg)
-        in
-        let diff =
-          try
-            Golden_diff.compare ~baseline ~current:(Experiment.to_json report)
-          with Vjson.Parse_error msg ->
-            Guard.invalid
-              (Printf.sprintf "golden file %s is not a validate report: %s"
-                 path msg)
-        in
-        Format.printf "%a" Golden_diff.pp diff;
-        diff.Golden_diff.severity <> Golden_diff.Breaking
-    in
-    if not (report.Experiment.pass && golden_ok) then exit 1
+    let golden_pass = golden_ok golden (Experiment.to_json report) in
+    if not (report.Experiment.pass && golden_pass) then exit 1
   in
   Cmd.v
     (Cmd.info "validate"
@@ -1084,8 +1087,6 @@ let validate_cmd =
 
 let tail_cmd =
   let module Tail_test = Rgleak_valid.Tail_test in
-  let module Golden_diff = Rgleak_valid.Golden_diff in
-  let module Vjson = Rgleak_valid.Vjson in
   let n_arg =
     Arg.(required & opt (some int) None & info [ "n" ] ~docv:"GATES" ~doc:"Gate count.")
   in
@@ -1223,30 +1224,10 @@ let tail_cmd =
         let oc = open_out path in
         Fun.protect
           ~finally:(fun () -> close_out_noerr oc)
-          (fun () -> output_string oc (Vjson.to_string ~indent:2 doc));
+          (fun () -> output_string oc (Json.to_string ~indent:2 doc));
         Printf.printf "report written to %s\n" path)
       json;
-    let golden_ok =
-      match golden with
-      | None -> true
-      | Some path ->
-        let baseline =
-          try Vjson.parse_file path with
-          | Sys_error msg -> Guard.invalid msg
-          | Vjson.Parse_error msg ->
-            Guard.invalid (Printf.sprintf "bad golden file %s: %s" path msg)
-        in
-        let diff =
-          try Golden_diff.compare_tail ~baseline ~current:doc
-          with Vjson.Parse_error msg ->
-            Guard.invalid
-              (Printf.sprintf "golden file %s is not a tail report: %s" path
-                 msg)
-        in
-        Format.printf "%a" Golden_diff.pp diff;
-        diff.Golden_diff.severity <> Golden_diff.Breaking
-    in
-    if not golden_ok then exit 1
+    if not (golden_ok golden doc) then exit 1
   in
   Cmd.v
     (Cmd.info "tail"
@@ -1261,8 +1242,6 @@ let tail_cmd =
 (* ---------- optimize ---------- *)
 
 let optimize_cmd =
-  let module Golden_diff = Rgleak_valid.Golden_diff in
-  let module Vjson = Rgleak_valid.Vjson in
   let module Cache = Rgleak_cache.Cache in
   let module Memo = Rgleak_cache.Memo in
   let n_arg =
@@ -1427,37 +1406,37 @@ let optimize_cmd =
       r.Optimize.final.Delta.exact.Delta.std;
     let tier_fields prefix (t : Delta.tier) =
       [
-        (prefix ^ "_mean", Vjson.Num t.Delta.mean);
-        (prefix ^ "_std", Vjson.Num t.Delta.std);
+        (prefix ^ "_mean", Json.Num t.Delta.mean);
+        (prefix ^ "_std", Json.Num t.Delta.std);
       ]
     in
     let doc =
-      Vjson.Obj
+      Json.Obj
         ([
-           ("schema", Vjson.Str Golden_diff.optimize_schema);
-           ("n", Vjson.Num (float_of_int n));
-           ("corr", Vjson.Str corr);
-           ("mix", Vjson.Str mix);
-           ("p", Vjson.Num p);
-           ("seed", Vjson.Num (float_of_int seed));
-           ("start", Vjson.Str (Vt_correction.flavor_name start_flavor));
-           ("method", Vjson.Str "greedy-density");
-           ("budget", Vjson.Num budget);
-           ("spent", Vjson.Num r.Optimize.spent);
-           ("swaps", Vjson.Num (float_of_int (List.length r.Optimize.moves)));
+           ("schema", Json.Str "rgleak-optimize/1");
+           ("n", Json.Num (float_of_int n));
+           ("corr", Json.Str corr);
+           ("mix", Json.Str mix);
+           ("p", Json.Num p);
+           ("seed", Json.Num (float_of_int seed));
+           ("start", Json.Str (Vt_correction.flavor_name start_flavor));
+           ("method", Json.Str "greedy-density");
+           ("budget", Json.Num budget);
+           ("spent", Json.Num r.Optimize.spent);
+           ("swaps", Json.Num (float_of_int (List.length r.Optimize.moves)));
            ( "moves_lvt_svt",
-             Vjson.Num
+             Json.Num
                (float_of_int
                   (transition_count Vt_correction.Lvt Vt_correction.Svt)) );
            ( "moves_lvt_hvt",
-             Vjson.Num
+             Json.Num
                (float_of_int
                   (transition_count Vt_correction.Lvt Vt_correction.Hvt)) );
            ( "moves_svt_hvt",
-             Vjson.Num
+             Json.Num
                (float_of_int
                   (transition_count Vt_correction.Svt Vt_correction.Hvt)) );
-           ("leakage_reduction", Vjson.Num reduction);
+           ("leakage_reduction", Json.Num reduction);
          ]
         @ tier_fields "exact_initial" r.Optimize.initial.Delta.exact
         @ tier_fields "exact_final" r.Optimize.final.Delta.exact
@@ -1471,30 +1450,10 @@ let optimize_cmd =
         let oc = open_out_bin path in
         Fun.protect
           ~finally:(fun () -> close_out_noerr oc)
-          (fun () -> output_string oc (Vjson.to_string ~indent:2 doc));
+          (fun () -> output_string oc (Json.to_string ~indent:2 doc));
         Printf.printf "report written to %s\n" path)
       json;
-    let golden_ok =
-      match golden with
-      | None -> true
-      | Some path ->
-        let baseline =
-          try Vjson.parse_file path with
-          | Sys_error msg -> Guard.invalid msg
-          | Vjson.Parse_error msg ->
-            Guard.invalid (Printf.sprintf "bad golden file %s: %s" path msg)
-        in
-        let diff =
-          try Golden_diff.compare_optimize ~baseline ~current:doc
-          with Vjson.Parse_error msg ->
-            Guard.invalid
-              (Printf.sprintf "golden file %s is not an optimize report: %s"
-                 path msg)
-        in
-        Format.printf "%a" Golden_diff.pp diff;
-        diff.Golden_diff.severity <> Golden_diff.Breaking
-    in
-    if not golden_ok then exit 1
+    if not (golden_ok golden doc) then exit 1
   in
   Cmd.v
     (Cmd.info "optimize"
@@ -1614,7 +1573,6 @@ let batch_cmd =
 
 let report_cmd =
   let module Report = Rgleak_valid.Report in
-  let module Vjson = Rgleak_valid.Vjson in
   let ledgers_arg =
     Arg.(
       value & pos_all string []
@@ -1658,13 +1616,13 @@ let report_cmd =
     let parse_ledger path =
       try Report.parse_ledger_file path with
       | Sys_error msg -> Guard.invalid msg
-      | Vjson.Parse_error msg ->
+      | Json.Parse_error msg ->
         Guard.invalid (Printf.sprintf "%s: %s" path msg)
     in
     let parse_metrics path =
       try Report.parse_metrics_file path with
       | Sys_error msg -> Guard.invalid msg
-      | Vjson.Parse_error msg ->
+      | Json.Parse_error msg ->
         Guard.invalid (Printf.sprintf "%s: %s" path msg)
     in
     let entries =
@@ -1674,7 +1632,7 @@ let report_cmd =
     let write_json () =
       Option.iter
         (fun path ->
-          let doc = Vjson.to_string ~indent:2 (Report.to_json agg) in
+          let doc = Json.to_string ~indent:2 (Report.to_json agg) in
           if path = "-" then print_string doc
           else begin
             let oc = open_out_bin path in

@@ -16,7 +16,7 @@ module Estimator_exact = Rgleak_core.Estimator_exact
 module Mc_reference = Rgleak_core.Mc_reference
 module Tail = Rgleak_core.Tail
 module Vt_correction = Rgleak_core.Vt_correction
-module Vjson = Rgleak_valid.Vjson
+module Json = Rgleak_obs.Json
 module Obs = Rgleak_obs.Obs
 
 type tier = Auto | Linear | Integral_2d | Integral_polar | Exact | Mc | Tail
@@ -171,7 +171,7 @@ let parse_mix line s =
 let parse_scenario ~line json =
   let fields =
     match json with
-    | Vjson.Obj kvs -> kvs
+    | Json.Obj kvs -> kvs
     | _ -> fail_line line "expected a JSON object"
   in
   List.iter
@@ -183,12 +183,12 @@ let parse_scenario ~line json =
   let field k = List.assoc_opt k fields in
   let str k v =
     match v with
-    | Vjson.Str s -> s
+    | Json.Str s -> s
     | _ -> fail_line line "field %S must be a string" k
   in
   let num k v =
     match v with
-    | Vjson.Num x when Float.is_finite x -> x
+    | Json.Num x when Float.is_finite x -> x
     | _ -> fail_line line "field %S must be a finite number" k
   in
   let int k v =
@@ -246,7 +246,7 @@ let parse_scenario ~line json =
   let s_vt =
     match field "vt" with
     | None -> false
-    | Some (Vjson.Bool b) -> b
+    | Some (Json.Bool b) -> b
     | Some _ -> fail_line line "field \"vt\" must be a boolean"
   in
   let s_replicas =
@@ -314,8 +314,8 @@ let parse_manifest text =
          let trimmed = String.trim raw in
          if trimmed <> "" && trimmed.[0] <> '#' then
            let json =
-             try Vjson.parse trimmed
-             with Vjson.Parse_error msg ->
+             try Json.parse trimmed
+             with Json.Parse_error msg ->
                fail_line line "malformed JSON (%s)" msg
            in
            scenarios := parse_scenario ~line json :: !scenarios);
@@ -410,25 +410,25 @@ let placed_of scen ~histogram layout =
 let ok_record scen ~p ~layout ?replicas ~mean ~std ~method_used () =
   let base =
     [
-      ("id", Vjson.Str scen.s_id);
-      ("status", Vjson.Str "ok");
-      ("tier", Vjson.Str (tier_name scen.s_tier));
-      ("n", Vjson.Num (float_of_int scen.s_n));
-      ("seed", Vjson.Num (float_of_int scen.s_seed));
-      ("p", Vjson.Num p);
-      ("width", Vjson.Num (Layout.width layout));
-      ("height", Vjson.Num (Layout.height layout));
-      ("mean", Vjson.Num mean);
-      ("std", Vjson.Num std);
-      ("method", Vjson.Str method_used);
+      ("id", Json.Str scen.s_id);
+      ("status", Json.Str "ok");
+      ("tier", Json.Str (tier_name scen.s_tier));
+      ("n", Json.Num (float_of_int scen.s_n));
+      ("seed", Json.Num (float_of_int scen.s_seed));
+      ("p", Json.Num p);
+      ("width", Json.Num (Layout.width layout));
+      ("height", Json.Num (Layout.height layout));
+      ("mean", Json.Num mean);
+      ("std", Json.Num std);
+      ("method", Json.Str method_used);
     ]
   in
   let extra =
     match replicas with
-    | Some r -> [ ("replicas", Vjson.Num (float_of_int r)) ]
+    | Some r -> [ ("replicas", Json.Num (float_of_int r)) ]
     | None -> []
   in
-  Vjson.Obj (base @ extra)
+  Json.Obj (base @ extra)
 
 let run_scenario state scen =
   let ctx_e = ctx_for state scen in
@@ -527,33 +527,33 @@ let run_scenario state scen =
         List.find_opt (fun (q : Tail.quantile) -> q.Tail.level = level)
           r.Tail.quantiles
       with
-      | Some q -> [ (name, Vjson.Num q.Tail.value) ]
+      | Some q -> [ (name, Json.Num q.Tail.value) ]
       | None -> []
     in
-    Vjson.Obj
+    Json.Obj
       ([
-         ("id", Vjson.Str scen.s_id);
-         ("status", Vjson.Str "ok");
-         ("tier", Vjson.Str (tier_name scen.s_tier));
-         ("n", Vjson.Num (float_of_int scen.s_n));
-         ("seed", Vjson.Num (float_of_int scen.s_seed));
-         ("p", Vjson.Num ctx_e.e_p);
-         ("width", Vjson.Num (Layout.width layout));
-         ("height", Vjson.Num (Layout.height layout));
-         ("replicas", Vjson.Num (float_of_int scen.s_replicas));
-         ("budget_na", Vjson.Num budget_na);
-         ("delta_nm", Vjson.Num r.Tail.delta);
-         ("p_exceed", Vjson.Num r.Tail.p_exceed);
-         ("se", Vjson.Num r.Tail.se);
-         ("ess", Vjson.Num r.Tail.ess);
-         ("hits", Vjson.Num (float_of_int r.Tail.hits));
+         ("id", Json.Str scen.s_id);
+         ("status", Json.Str "ok");
+         ("tier", Json.Str (tier_name scen.s_tier));
+         ("n", Json.Num (float_of_int scen.s_n));
+         ("seed", Json.Num (float_of_int scen.s_seed));
+         ("p", Json.Num ctx_e.e_p);
+         ("width", Json.Num (Layout.width layout));
+         ("height", Json.Num (Layout.height layout));
+         ("replicas", Json.Num (float_of_int scen.s_replicas));
+         ("budget_na", Json.Num budget_na);
+         ("delta_nm", Json.Num r.Tail.delta);
+         ("p_exceed", Json.Num r.Tail.p_exceed);
+         ("se", Json.Num r.Tail.se);
+         ("ess", Json.Num r.Tail.ess);
+         ("hits", Json.Num (float_of_int r.Tail.hits));
        ]
       @ quantile "p99_na" 0.99
       @ quantile "p999_na" 0.999
       @ quantile "p9999_na" 0.9999
-      @ [ ("method", Vjson.Str "importance-sampled tail") ])
+      @ [ ("method", Json.Str "importance-sampled tail") ])
 
-type outcome = { o_id : string; o_json : Vjson.t; o_code : int }
+type outcome = { o_id : string; o_json : Json.t; o_code : int }
 
 type engine = state
 
@@ -576,12 +576,12 @@ let run_one state scen =
     {
       o_id = scen.s_id;
       o_json =
-        Vjson.Obj
+        Json.Obj
           [
-            ("id", Vjson.Str scen.s_id);
-            ("status", Vjson.Str "error");
-            ("class", Vjson.Str (Guard.class_name d));
-            ("error", Vjson.Str (Guard.to_string d));
+            ("id", Json.Str scen.s_id);
+            ("status", Json.Str "error");
+            ("class", Json.Str (Guard.class_name d));
+            ("error", Json.Str (Guard.to_string d));
           ];
       o_code = Guard.exit_code d;
     }
@@ -590,15 +590,15 @@ let run ?cache scenarios = List.map (run_one (engine ?cache ())) scenarios
 
 let report outcomes =
   let header =
-    Vjson.Obj
+    Json.Obj
       [
-        ("schema", Vjson.Str "rgleak-batch/1");
-        ("scenarios", Vjson.Num (float_of_int (List.length outcomes)));
+        ("schema", Json.Str "rgleak-batch/1");
+        ("scenarios", Json.Num (float_of_int (List.length outcomes)));
       ]
   in
   String.concat "\n"
-    (Vjson.to_string header
-    :: List.map (fun o -> Vjson.to_string o.o_json) outcomes)
+    (Json.to_string header
+    :: List.map (fun o -> Json.to_string o.o_json) outcomes)
   ^ "\n"
 
 let exit_code outcomes =

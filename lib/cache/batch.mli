@@ -73,7 +73,7 @@ val parse_manifest : string -> scenario list
 
 type outcome = {
   o_id : string;
-  o_json : Rgleak_valid.Vjson.t;  (** the report record *)
+  o_json : Rgleak_obs.Json.t;  (** the report record *)
   o_code : int;  (** 0, or the {!Rgleak_num.Guard.exit_code} class *)
 }
 

@@ -3,24 +3,7 @@
 
 let ns_to_s ns = Int64.to_float ns /. 1e9
 let ns_to_us ns = Int64.to_float ns /. 1e3
-
-(* Span paths and metric names are code-controlled, but escape anyway
-   so the emitted JSON is valid for any input. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let num_i n = Json.Num (float_of_int n)
 
 let last_segment path =
   match String.rindex_opt path '/' with
@@ -139,58 +122,60 @@ let report oc (s : Obs.snapshot) =
 (* ---------- Chrome trace events ---------- *)
 
 let chrome_trace (s : Obs.snapshot) =
-  let b = Buffer.create 4096 in
-  let sep = ref "" in
-  let event fmt =
-    Buffer.add_string b !sep;
-    sep := ",\n";
-    Printf.ksprintf (Buffer.add_string b) fmt
+  let event ~name ~ph ~tid fields args =
+    Json.Obj
+      ([
+         ("name", Json.Str name);
+         ("ph", Json.Str ph);
+         ("pid", num_i 0);
+         ("tid", num_i tid);
+       ]
+      @ fields
+      @ [ ("args", Json.Obj args) ])
   in
-  Buffer.add_string b "{\"traceEvents\":[\n";
-  event
-    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{\"name\":\"rgleak\"}}";
+  let metadata name tid label =
+    event ~name ~ph:"M" ~tid [] [ ("name", Json.Str label) ]
+  in
+  let counter name ts value =
+    event ~name ~ph:"C" ~tid:0 [ ("ts", Json.Num ts) ] [ ("value", value) ]
+  in
   let domains =
     List.sort_uniq compare
       (List.map (fun (e : Obs.span_event) -> e.Obs.domain) s.Obs.spans)
   in
-  List.iter
-    (fun d ->
-      event
-        "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"args\":{\"name\":\"domain-%d\"}}"
-        d d)
-    domains;
-  List.iter
-    (fun (e : Obs.span_event) ->
-      event
-        "{\"name\":\"%s\",\"cat\":\"rgleak\",\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"path\":\"%s\",\"minor_words\":%.9g}}"
-        (json_escape (last_segment e.Obs.path))
-        e.Obs.domain (ns_to_us e.Obs.start_ns) (ns_to_us e.Obs.dur_ns)
-        (json_escape e.Obs.path) e.Obs.minor_words)
-    s.Obs.spans;
-  (* Time-stamped counter tracks (cache hits/misses, queue depth...):
-     one "C" event per recorded sample so they render as timelines. *)
-  List.iter
-    (fun (t : Obs.track_event) ->
-      event
-        "{\"name\":\"%s\",\"ph\":\"C\",\"pid\":0,\"tid\":0,\"ts\":%.3f,\"args\":{\"value\":%.9g}}"
-        (json_escape t.Obs.t_name) (ns_to_us t.Obs.t_ns) t.Obs.t_value)
-    s.Obs.tracks;
-  (* Pool utilization and work counters as final-total counter events. *)
+  let span (e : Obs.span_event) =
+    event ~name:(last_segment e.Obs.path) ~ph:"X" ~tid:e.Obs.domain
+      [
+        ("cat", Json.Str "rgleak");
+        ("ts", Json.Num (ns_to_us e.Obs.start_ns));
+        ("dur", Json.Num (ns_to_us e.Obs.dur_ns));
+      ]
+      [
+        ("path", Json.Str e.Obs.path);
+        ("minor_words", Json.Num e.Obs.minor_words);
+      ]
+  in
+  (* Time-stamped counter tracks (cache hits/misses, queue depth...)
+     render as timelines, one "C" event per recorded sample; pool
+     utilization and work counters follow as final-total events. *)
   let ts_end = ns_to_us s.Obs.elapsed_ns in
-  List.iter
-    (fun (name, v) ->
-      event
-        "{\"name\":\"%s\",\"ph\":\"C\",\"pid\":0,\"tid\":0,\"ts\":%.3f,\"args\":{\"value\":%.9g}}"
-        (json_escape name) ts_end v)
-    s.Obs.gauges;
-  List.iter
-    (fun (name, v) ->
-      event
-        "{\"name\":\"%s\",\"ph\":\"C\",\"pid\":0,\"tid\":0,\"ts\":%.3f,\"args\":{\"value\":%d}}"
-        (json_escape name) ts_end v)
-    s.Obs.counters;
-  Buffer.add_string b "\n],\"displayTimeUnit\":\"ms\"}\n";
-  Buffer.contents b
+  let events =
+    (metadata "process_name" 0 "rgleak"
+    :: List.map
+         (fun d -> metadata "thread_name" d (Printf.sprintf "domain-%d" d))
+         domains)
+    @ List.map span s.Obs.spans
+    @ List.map
+        (fun (t : Obs.track_event) ->
+          counter t.Obs.t_name (ns_to_us t.Obs.t_ns) (Json.Num t.Obs.t_value))
+        s.Obs.tracks
+    @ List.map (fun (name, v) -> counter name ts_end (Json.Num v)) s.Obs.gauges
+    @ List.map (fun (name, v) -> counter name ts_end (num_i v)) s.Obs.counters
+  in
+  Json.to_string
+    (Json.Obj
+       [ ("traceEvents", Json.Arr events); ("displayTimeUnit", Json.Str "ms") ])
+  ^ "\n"
 
 (* ---------- collapsed stacks (flamegraph.pl / speedscope) ---------- *)
 
@@ -218,59 +203,59 @@ let folded (s : Obs.snapshot) =
 
 (* ---------- flat metrics ---------- *)
 
-(* Schema history: rgleak-metrics/1 (PR 2) had elapsed_s /
-   dropped_spans / counters / gauges / spans.  Version 2 keeps every
-   v1 field with the same shape (v1 consumers that tolerate unknown
-   keys keep working) and adds "hists", "gc", "dropped_tracks", and a
-   "self_s" field on span aggregates. *)
-let metrics_json (s : Obs.snapshot) =
-  let b = Buffer.create 2048 in
-  let p fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  p "{\n";
-  p "  \"schema\": \"rgleak-metrics/2\",\n";
-  p "  \"elapsed_s\": %.9f,\n" (ns_to_s s.Obs.elapsed_ns);
-  p "  \"dropped_spans\": %d,\n" s.Obs.dropped_spans;
-  p "  \"dropped_tracks\": %d,\n" s.Obs.dropped_tracks;
-  let obj last items print_one =
-    List.iteri
-      (fun i item ->
-        print_one item;
-        p "%s\n" (if i = List.length items - 1 then "" else ","))
-      items;
-    ignore last
+let snapshot_fields (s : Obs.snapshot) =
+  let hist (name, h) =
+    ( name,
+      Json.Obj
+        [
+          ("count", num_i h.Obs.h_count);
+          ("sum", Json.Num h.Obs.h_sum);
+          ("min", Json.Num h.Obs.h_min);
+          ("max", Json.Num h.Obs.h_max);
+          ("p50", Json.Num (Obs.hist_quantile h 0.50));
+          ("p90", Json.Num (Obs.hist_quantile h 0.90));
+          ("p99", Json.Num (Obs.hist_quantile h 0.99));
+          ( "buckets",
+            Json.Obj
+              (List.map (fun (i, c) -> (string_of_int i, num_i c)) h.Obs.h_buckets)
+          );
+        ] )
   in
-  p "  \"counters\": {\n";
-  obj () s.Obs.counters (fun (name, v) ->
-      p "    \"%s\": %d" (json_escape name) v);
-  p "  },\n";
-  p "  \"gauges\": {\n";
-  obj () s.Obs.gauges (fun (name, v) ->
-      p "    \"%s\": %.9g" (json_escape name) v);
-  p "  },\n";
-  p "  \"hists\": {\n";
-  obj () s.Obs.hists (fun (name, h) ->
-      let n, p50, p90, p99, mx = hist_summary h in
-      p "    \"%s\": { \"count\": %d, \"sum\": %.9g, \"min\": %.9g,\n"
-        (json_escape name) n h.Obs.h_sum h.Obs.h_min;
-      p "      \"p50\": %.9g, \"p90\": %.9g, \"p99\": %.9g, \"max\": %.9g,\n"
-        p50 p90 p99 mx;
-      p "      \"buckets\": { %s } }"
-        (String.concat ", "
-           (List.map
-              (fun (i, c) -> Printf.sprintf "\"%d\": %d" i c)
-              h.Obs.h_buckets)));
-  p "  },\n";
-  p "  \"gc\": { \"minor_words\": %.9g, \"major_words\": %.9g },\n"
-    s.Obs.gc_minor_words s.Obs.gc_major_words;
-  p "  \"spans\": [\n";
-  obj () (self_times s) (fun (path, n, total, self, mw) ->
-      p
-        "    { \"path\": \"%s\", \"count\": %d, \"total_s\": %.9f, \
-         \"self_s\": %.9f, \"minor_words\": %.9g }"
-        (json_escape path) n (ns_to_s total) (ns_to_s self) mw);
-  p "  ]\n";
-  p "}\n";
-  Buffer.contents b
+  [
+    ("elapsed_s", Json.Num (ns_to_s s.Obs.elapsed_ns));
+    ("dropped_spans", num_i s.Obs.dropped_spans);
+    ("dropped_tracks", num_i s.Obs.dropped_tracks);
+    ("counters", Json.Obj (List.map (fun (k, v) -> (k, num_i v)) s.Obs.counters));
+    ("gauges", Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) s.Obs.gauges));
+    ("hists", Json.Obj (List.map hist s.Obs.hists));
+    ( "gc",
+      Json.Obj
+        [
+          ("minor_words", Json.Num s.Obs.gc_minor_words);
+          ("major_words", Json.Num s.Obs.gc_major_words);
+        ] );
+  ]
+
+(* Schema history: rgleak-metrics/1 had elapsed_s / dropped_spans /
+   counters / gauges / spans.  Version 2 keeps every v1 field with the
+   same shape (v1 consumers that tolerate unknown keys keep working)
+   and adds "hists", "gc", "dropped_tracks", and a "self_s" field on
+   span aggregates. *)
+let metrics_json (s : Obs.snapshot) =
+  let span (path, n, total, self, mw) =
+    Json.Obj
+      [
+        ("path", Json.Str path);
+        ("count", num_i n);
+        ("total_s", Json.Num (ns_to_s total));
+        ("self_s", Json.Num (ns_to_s self));
+        ("minor_words", Json.Num mw);
+      ]
+  in
+  Json.to_string ~indent:2
+    (Json.Obj
+       ((("schema", Json.Str "rgleak-metrics/2") :: snapshot_fields s)
+       @ [ ("spans", Json.Arr (List.map span (self_times s))) ]))
 
 let write_file ~path contents =
   let oc = open_out path in

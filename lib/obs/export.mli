@@ -3,9 +3,6 @@
     [chrome://tracing] or {:https://ui.perfetto.dev}), a collapsed-stack
     file for flamegraph.pl / speedscope, and a flat metrics JSON. *)
 
-val json_escape : string -> string
-(** JSON string escaping shared by every textual exporter. *)
-
 val self_times : Obs.snapshot -> (string * int * int64 * int64 * float) list
 (** Per-path span aggregates
     [(path, count, total_ns, self_ns, minor_words)], sorted by path.
@@ -45,5 +42,12 @@ val metrics_json : Obs.snapshot -> string
     minor words).  Every ["rgleak-metrics/1"] field is retained with
     its v1 shape, so v1 consumers that ignore unknown keys keep
     working. *)
+
+val snapshot_fields : Obs.snapshot -> (string * Json.t) list
+(** The snapshot members shared by the metrics document and the
+    ledger line: [elapsed_s], [dropped_spans], [dropped_tracks],
+    [counters], [gauges], [hists] (per histogram
+    [count,sum,min,max,p50,p90,p99] and its sparse [buckets]) and
+    [gc]. *)
 
 val write_metrics_json : path:string -> Obs.snapshot -> unit

@@ -1,7 +1,9 @@
-(* Minimal JSON: just enough for the validation reports and their
-   golden baselines.  Numbers are printed with %.17g so a parse of the
-   output reproduces the same floats — the golden-diff engine depends
-   on that round-trip to distinguish "identical" from "drifted". *)
+(* The one JSON layer: batch records, serve replies, golden reports,
+   metrics, ledger lines and bench documents all print through
+   [to_string] and read through [parse].  Numbers are printed with
+   %.17g so a parse of the output reproduces the same floats — the
+   golden-diff engine depends on that round-trip to distinguish
+   "identical" from "drifted". *)
 
 type t =
   | Null
@@ -31,8 +33,11 @@ let escape s =
     s;
   Buffer.contents b
 
+(* JSON has no spelling for nan or infinity: print them as null so
+   every document stays parseable. *)
 let number_to_string f =
-  if Float.is_integer f && Float.abs f < 1e15 then
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then
     Printf.sprintf "%.0f" f
   else Printf.sprintf "%.17g" f
 
@@ -118,6 +123,22 @@ let parse s =
     end
     else fail (Printf.sprintf "expected %s" word)
   in
+  (* the four hex digits of a \u escape starting at offset [i] *)
+  let hex4 i =
+    if i + 4 > n then fail "truncated \\u escape";
+    let digit c =
+      match c with
+      | '0' .. '9' -> Char.code c - 48
+      | 'a' .. 'f' -> Char.code c - 87
+      | 'A' .. 'F' -> Char.code c - 55
+      | _ -> fail "bad \\u escape"
+    in
+    let v = ref 0 in
+    for k = i to i + 3 do
+      v := (!v lsl 4) lor digit s.[k]
+    done;
+    !v
+  in
   let string_body () =
     expect '"';
     let b = Buffer.create 16 in
@@ -137,13 +158,23 @@ let parse s =
         | Some 'b' -> Buffer.add_char b '\b'
         | Some 'f' -> Buffer.add_char b '\012'
         | Some 'u' ->
-          (* the writer only escapes code points < 0x80 *)
-          if !pos + 4 >= n then fail "truncated \\u escape";
-          let hex = String.sub s (!pos + 1) 4 in
-          (match int_of_string_opt ("0x" ^ hex) with
-          | Some c -> Buffer.add_char b (Char.chr (c land 0x7f))
-          | None -> fail "bad \\u escape");
-          pos := !pos + 4
+          let u = hex4 (!pos + 1) in
+          pos := !pos + 4;
+          let is_low c = c >= 0xDC00 && c <= 0xDFFF in
+          let cp =
+            if u >= 0xD800 && u <= 0xDBFF then begin
+              (* a high surrogate must be followed by an escaped low one *)
+              if not (!pos + 2 < n && s.[!pos + 1] = '\\' && s.[!pos + 2] = 'u')
+              then fail "lone surrogate";
+              let lo = hex4 (!pos + 3) in
+              if not (is_low lo) then fail "lone surrogate";
+              pos := !pos + 6;
+              0x10000 + ((u - 0xD800) lsl 10) + (lo - 0xDC00)
+            end
+            else if is_low u then fail "lone surrogate"
+            else u
+          in
+          Buffer.add_utf_8_uchar b (Uchar.of_int cp)
         | _ -> fail "bad escape");
         advance ();
         go ()

@@ -1,5 +1,6 @@
-(** Minimal JSON values for the validation reports and their committed
-    golden baselines.
+(** Minimal JSON values: the one reader and printer behind every
+    document [rgleak] reads or writes — batch records, serve replies,
+    golden reports, metrics, ledger lines and bench documents.
 
     The printer emits numbers with enough precision ([%.17g]) that
     parsing its output reproduces the same floats, so a report written,
@@ -19,10 +20,15 @@ exception Parse_error of string
 
 val to_string : ?indent:int -> t -> string
 (** Serialize; [indent > 0] pretty-prints with that many spaces per
-    level (and a trailing newline), [indent = 0] (default) is compact. *)
+    level (and a trailing newline), [indent = 0] (default) puts the
+    whole document on one line as [{"k": v,"k2": v}].  Integers below
+    1e15 print as [%.0f], other finite numbers as [%.17g], and nan and
+    infinities as [null]. *)
 
 val parse : string -> t
-(** Raises {!Parse_error} on malformed input. *)
+(** Raises {!Parse_error} on malformed input.  [\uXXXX] escapes,
+    surrogate pairs included, decode to UTF-8; bad hex digits and lone
+    surrogates are errors. *)
 
 val parse_file : string -> t
 

@@ -12,45 +12,17 @@ let args_digest args =
   Digest.to_hex (Digest.string (String.concat "\x00" args))
 
 let line ~subcommand ~args ~exit_class ?(t = 0.0) (s : Obs.snapshot) =
-  let b = Buffer.create 1024 in
-  let p fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  let obj items print_one =
-    List.iteri
-      (fun i item ->
-        if i > 0 then p ",";
-        print_one item)
-      items
-  in
-  p "{\"schema\":\"%s\"" schema;
-  p ",\"t\":%.3f" t;
-  p ",\"subcommand\":\"%s\"" (Export.json_escape subcommand);
-  p ",\"args_digest\":\"%s\"" (args_digest args);
-  p ",\"metrics_schema\":\"rgleak-metrics/2\"";
-  p ",\"exit_class\":\"%s\"" (Export.json_escape exit_class);
-  p ",\"elapsed_s\":%.9f" (Int64.to_float s.Obs.elapsed_ns /. 1e9);
-  p ",\"counters\":{";
-  obj s.Obs.counters (fun (name, v) ->
-      p "\"%s\":%d" (Export.json_escape name) v);
-  p "},\"gauges\":{";
-  obj s.Obs.gauges (fun (name, v) ->
-      p "\"%s\":%.9g" (Export.json_escape name) v);
-  p "},\"hists\":{";
-  obj s.Obs.hists (fun (name, h) ->
-      p
-        "\"%s\":{\"count\":%d,\"sum\":%.9g,\"min\":%.9g,\"max\":%.9g,\"p50\":%.9g,\"p90\":%.9g,\"p99\":%.9g,\"buckets\":{"
-        (Export.json_escape name) h.Obs.h_count h.Obs.h_sum h.Obs.h_min
-        h.Obs.h_max
-        (Obs.hist_quantile h 0.50)
-        (Obs.hist_quantile h 0.90)
-        (Obs.hist_quantile h 0.99);
-      obj h.Obs.h_buckets (fun (i, c) -> p "\"%d\":%d" i c);
-      p "}}");
-  p "},\"gc\":{\"minor_words\":%.9g,\"major_words\":%.9g}"
-    s.Obs.gc_minor_words s.Obs.gc_major_words;
-  p ",\"dropped_spans\":%d,\"dropped_tracks\":%d" s.Obs.dropped_spans
-    s.Obs.dropped_tracks;
-  p "}";
-  Buffer.contents b
+  Json.to_string
+    (Json.Obj
+       ([
+          ("schema", Json.Str schema);
+          ("t", Json.Num t);
+          ("subcommand", Json.Str subcommand);
+          ("args_digest", Json.Str (args_digest args));
+          ("metrics_schema", Json.Str "rgleak-metrics/2");
+          ("exit_class", Json.Str exit_class);
+        ]
+       @ Export.snapshot_fields s))
 
 let rec mkdir_p dir =
   if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir)

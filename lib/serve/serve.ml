@@ -1,6 +1,6 @@
 module Guard = Rgleak_num.Guard
 module Obs = Rgleak_obs.Obs
-module Vjson = Rgleak_valid.Vjson
+module Json = Rgleak_obs.Json
 module Cache = Rgleak_cache.Cache
 module Batch = Rgleak_cache.Batch
 
@@ -110,15 +110,15 @@ let is_sheddable = function Batch.Exact | Batch.Mc -> true | _ -> false
 
 let degrade_record requested o =
   match o.Batch.o_json with
-  | Vjson.Obj fields ->
+  | Json.Obj fields ->
     {
       o with
       Batch.o_json =
-        Vjson.Obj
+        Json.Obj
           (fields
           @ [
-              ("degraded", Vjson.Bool true);
-              ("requested_tier", Vjson.Str (Batch.tier_name requested));
+              ("degraded", Json.Bool true);
+              ("requested_tier", Json.Str (Batch.tier_name requested));
             ]);
     }
   | _ -> o
@@ -141,7 +141,7 @@ let run_item srv ~shed item =
   in
   let payload =
     String.concat ""
-      (List.map (fun o -> Vjson.to_string o.Batch.o_json ^ "\n") outcomes)
+      (List.map (fun o -> Json.to_string o.Batch.o_json ^ "\n") outcomes)
   in
   (payload, Batch.exit_code outcomes)
 
@@ -183,20 +183,20 @@ let stats_json srv =
     | _ -> 0.0
   in
   let uptime = Unix.gettimeofday () -. srv.started in
-  let num n = Vjson.Num (float_of_int n) in
+  let num n = Json.Num (float_of_int n) in
   let cache_obj =
     match srv.cfg.cache with
-    | None -> Vjson.Obj [ ("enabled", Vjson.Bool false) ]
+    | None -> Json.Obj [ ("enabled", Json.Bool false) ]
     | Some c ->
       let s = Cache.stats c in
       let looked = s.Cache.hits + s.Cache.misses in
-      Vjson.Obj
+      Json.Obj
         [
-          ("enabled", Vjson.Bool true);
+          ("enabled", Json.Bool true);
           ("hits", num s.Cache.hits);
           ("misses", num s.Cache.misses);
           ( "hit_rate",
-            Vjson.Num
+            Json.Num
               (if looked = 0 then 0.0
                else float_of_int s.Cache.hits /. float_of_int looked) );
           ("evictions", num s.Cache.evictions);
@@ -204,18 +204,18 @@ let stats_json srv =
           ("bytes", num (Cache.total_bytes c));
         ]
   in
-  Vjson.to_string
-    (Vjson.Obj
+  Json.to_string
+    (Json.Obj
        [
-         ("schema", Vjson.Str "rgleak-serve-stats/1");
-         ("uptime_s", Vjson.Num uptime);
+         ("schema", Json.Str "rgleak-serve-stats/1");
+         ("uptime_s", Json.Num uptime);
          ("requests", num srv.n_requests);
          ( "qps",
-           Vjson.Num
+           Json.Num
              (if uptime > 0.0 then float_of_int srv.n_requests /. uptime
               else 0.0) );
-         ("latency_p50_s", Vjson.Num (q 0.5));
-         ("latency_p99_s", Vjson.Num (q 0.99));
+         ("latency_p50_s", Json.Num (q 0.5));
+         ("latency_p99_s", Json.Num (q 0.99));
          ("queue_depth", num (Sched.depth srv.sched));
          ("clients", num (List.length srv.conns));
          ("sheds", num srv.n_sheds);

@@ -1,3 +1,5 @@
+module Json = Rgleak_obs.Json
+
 let expected_schema = "rgleak-bench-estimators/4"
 
 type finding = {
@@ -58,16 +60,16 @@ let alloc_budgets ~estimator ~n =
 type entry = { seconds : float; alloc : (string * float) list }
 
 let entries_of doc =
-  Vjson.arr (Vjson.get "entries" doc)
+  Json.arr (Json.get "entries" doc)
   |> List.map (fun e ->
-         let estimator = Vjson.str (Vjson.get "estimator" e) in
-         let n = int_of_float (Vjson.num (Vjson.get "n" e)) in
-         let seconds = Vjson.num (Vjson.get "seconds" e) in
+         let estimator = Json.str (Json.get "estimator" e) in
+         let n = int_of_float (Json.num (Json.get "n" e)) in
+         let seconds = Json.num (Json.get "seconds" e) in
          let alloc =
-           match Vjson.mem "alloc" e with
-           | Some (Vjson.Obj kvs) ->
-             List.map (fun (k, v) -> (k, Vjson.num v)) kvs
-           | Some _ -> raise (Vjson.Parse_error "\"alloc\" is not an object")
+           match Json.mem "alloc" e with
+           | Some (Json.Obj kvs) ->
+             List.map (fun (k, v) -> (k, Json.num v)) kvs
+           | Some _ -> raise (Json.Parse_error "\"alloc\" is not an object")
            | None -> []
          in
          ((estimator, n), { seconds; alloc }))
@@ -75,7 +77,7 @@ let entries_of doc =
 let compare ?(warn_ratio = 1.5) ?(fail_ratio = 3.0) ~baseline ~current () =
   if warn_ratio <= 0.0 || fail_ratio < warn_ratio then
     invalid_arg "Bench_gate.compare: need 0 < warn_ratio <= fail_ratio";
-  let schema doc = Vjson.str (Vjson.get "schema" doc) in
+  let schema doc = Json.str (Json.get "schema" doc) in
   let schema_ok =
     schema baseline = expected_schema && schema current = expected_schema
   in
@@ -199,19 +201,19 @@ let overhead_schema = "rgleak-overhead/3"
    the recorded total under its budget. *)
 let check_overhead doc =
   let get name =
-    match Vjson.mem name doc with
+    match Json.mem name doc with
     | Some v -> v
-    | None -> raise (Vjson.Parse_error (Printf.sprintf "missing field %S" name))
+    | None -> raise (Json.Parse_error (Printf.sprintf "missing field %S" name))
   in
-  match Vjson.str (get "schema") with
+  match Json.str (get "schema") with
   | s when s <> overhead_schema ->
     Error (Printf.sprintf "overhead schema %S, want %S" s overhead_schema)
   | _ ->
-    let overhead = Vjson.num (get "overhead_fraction") in
-    let budget = Vjson.num (get "budget_fraction") in
-    let hist_ns = Vjson.num (get "hist_site_ns") in
-    let hist_frac = Vjson.num (get "hist_overhead_fraction") in
-    if not (Vjson.bool (get "pass")) then
+    let overhead = Json.num (get "overhead_fraction") in
+    let budget = Json.num (get "budget_fraction") in
+    let hist_ns = Json.num (get "hist_site_ns") in
+    let hist_frac = Json.num (get "hist_overhead_fraction") in
+    if not (Json.bool (get "pass")) then
       Error "overhead document records pass=false"
     else if not (overhead < budget) then
       Error

@@ -61,11 +61,11 @@ type verdict = {
 val compare :
   ?warn_ratio:float ->
   ?fail_ratio:float ->
-  baseline:Vjson.t ->
-  current:Vjson.t ->
+  baseline:Rgleak_obs.Json.t ->
+  current:Rgleak_obs.Json.t ->
   unit ->
   verdict
-(** Raises {!Vjson.Parse_error} when either document is not a bench
+(** Raises {!Rgleak_obs.Json.Parse_error} when either document is not a bench
     timing document (missing schema/entries or malformed entries). *)
 
 val should_adopt : verdict -> bool
@@ -81,9 +81,9 @@ val pp : Format.formatter -> verdict -> unit
 val overhead_schema : string
 (** ["rgleak-overhead/3"]. *)
 
-val check_overhead : Vjson.t -> (unit, string) result
+val check_overhead : Rgleak_obs.Json.t -> (unit, string) result
 (** Validates a [BENCH_overhead.json] document (written by
     [bench --run overhead]): current schema, histogram-probe fields
     present, recorded pass flag true, and the total disabled-cost
-    fraction strictly under its budget.  Raises {!Vjson.Parse_error}
+    fraction strictly under its budget.  Raises {!Rgleak_obs.Json.Parse_error}
     on missing or mis-typed fields. *)

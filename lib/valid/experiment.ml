@@ -15,6 +15,7 @@ open Rgleak_process
 open Rgleak_cells
 open Rgleak_circuit
 open Rgleak_core
+module Json = Rgleak_obs.Json
 
 type point = {
   label : string;
@@ -360,51 +361,51 @@ let run ?jobs ?(chars = Characterize.default_library ()) ~seed (sweep : sweep) =
 
 (* ---------- JSON serialization (rgleak-validate/1) ---------- *)
 
-let opt_num = function Some v -> Vjson.Num v | None -> Vjson.Null
+let opt_num = function Some v -> Json.Num v | None -> Json.Null
 
 let verdict_json = function
-  | None -> Vjson.Null
+  | None -> Json.Null
   | Some (v : Stat_test.verdict) ->
-    Vjson.Obj
+    Json.Obj
       [
-        ("value", Vjson.Num v.Stat_test.value);
-        ("center", Vjson.Num v.Stat_test.center);
-        ("z", Vjson.Num v.Stat_test.z);
-        ("ci_half_width", Vjson.Num v.Stat_test.ci_half_width);
-        ("budget", Vjson.Num v.Stat_test.budget);
-        ("pass", Vjson.Bool v.Stat_test.pass);
+        ("value", Json.Num v.Stat_test.value);
+        ("center", Json.Num v.Stat_test.center);
+        ("z", Json.Num v.Stat_test.z);
+        ("ci_half_width", Json.Num v.Stat_test.ci_half_width);
+        ("budget", Json.Num v.Stat_test.budget);
+        ("pass", Json.Bool v.Stat_test.pass);
       ]
 
 let tier_json t =
-  Vjson.Obj
+  Json.Obj
     [
-      ("tier", Vjson.Str t.tier);
-      ("status", Vjson.Str t.status);
+      ("tier", Json.Str t.tier);
+      ("status", Json.Str t.status);
       ("mean", opt_num t.mean);
       ("std", opt_num t.std);
       ("mean_rel_err", opt_num t.mean_rel_err);
       ("std_rel_err", opt_num t.std_rel_err);
       ("mean_equiv", verdict_json t.mean_verdict);
       ("std_equiv", verdict_json t.std_verdict);
-      ("pass", Vjson.Bool t.tier_pass);
+      ("pass", Json.Bool t.tier_pass);
     ]
 
 let point_json p =
-  Vjson.Obj
+  Json.Obj
     [
-      ("label", Vjson.Str p.point.label);
-      ("n", Vjson.Num (float_of_int p.point.n));
-      ("aspect", Vjson.Num p.point.aspect);
-      ("corr", Vjson.Str (family_spec p.point.family));
-      ("p", Vjson.Num p.point.p);
-      ("mix", Vjson.Str p.point.mix_name);
-      ("replicas", Vjson.Num (float_of_int p.point.replicas));
-      ("width", Vjson.Num p.width);
-      ("height", Vjson.Num p.height);
+      ("label", Json.Str p.point.label);
+      ("n", Json.Num (float_of_int p.point.n));
+      ("aspect", Json.Num p.point.aspect);
+      ("corr", Json.Str (family_spec p.point.family));
+      ("p", Json.Num p.point.p);
+      ("mix", Json.Str p.point.mix_name);
+      ("replicas", Json.Num (float_of_int p.point.replicas));
+      ("width", Json.Num p.width);
+      ("height", Json.Num p.height);
       ( "mc",
-        Vjson.Obj
+        Json.Obj
           [
-            ("status", Vjson.Str p.mc.mc_status);
+            ("status", Json.Str p.mc.mc_status);
             ("mean", opt_num p.mc.mc_mean);
             ("std", opt_num p.mc.mc_std);
             ( "mean_se",
@@ -413,26 +414,26 @@ let point_json p =
             ( "std_se",
               opt_num (Option.map (fun i -> i.Stat_test.se) p.mc.mc_std_ci) );
           ] );
-      ("tiers", Vjson.Arr (List.map tier_json p.tiers));
-      ("pass", Vjson.Bool p.point_pass);
+      ("tiers", Json.Arr (List.map tier_json p.tiers));
+      ("pass", Json.Bool p.point_pass);
     ]
 
 let to_json r =
-  Vjson.Obj
+  Json.Obj
     [
-      ("schema", Vjson.Str r.schema);
-      ("seed", Vjson.Num (float_of_int r.seed));
-      ("sweep", Vjson.Str r.report_sweep);
-      ("confidence", Vjson.Num r.confidence);
-      ("pass", Vjson.Bool r.pass);
-      ("points", Vjson.Arr (List.map point_json r.point_reports));
+      ("schema", Json.Str r.schema);
+      ("seed", Json.Num (float_of_int r.seed));
+      ("sweep", Json.Str r.report_sweep);
+      ("confidence", Json.Num r.confidence);
+      ("pass", Json.Bool r.pass);
+      ("points", Json.Arr (List.map point_json r.point_reports));
     ]
 
 let write_json ~path r =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (Vjson.to_string ~indent:2 (to_json r)))
+    (fun () -> output_string oc (Json.to_string ~indent:2 (to_json r)))
 
 (* ---------- human-readable table (the paper's Tables 1-2 shape) ---------- *)
 

@@ -116,7 +116,7 @@ val run :
 (** Raises {!Rgleak_num.Guard.Error} ([Invalid_input]) on a sweep with
     no points — an empty sweep would otherwise vacuously pass. *)
 
-val to_json : report -> Vjson.t
+val to_json : report -> Rgleak_obs.Json.t
 (** The [rgleak-validate/1] document; deterministic member order, no
     timestamps. *)
 

@@ -10,6 +10,7 @@
    --metrics-json. *)
 
 module Obs = Rgleak_obs.Obs
+module Json = Rgleak_obs.Json
 
 type entry = {
   e_subcommand : string;
@@ -22,24 +23,29 @@ type entry = {
   e_gc_major : float;
 }
 
-let fail fmt = Printf.ksprintf (fun m -> raise (Vjson.Parse_error m)) fmt
+let fail fmt = Printf.ksprintf (fun m -> raise (Json.Parse_error m)) fmt
 
 let obj_fields = function
-  | Vjson.Obj fields -> fields
+  | Json.Obj fields -> fields
   | _ -> fail "expected an object"
 
-let opt_obj name j = match Vjson.mem name j with Some o -> obj_fields o | None -> []
+let opt_obj name j = match Json.mem name j with Some o -> obj_fields o | None -> []
+(* Non-finite numbers (a histogram that recorded infinity has an
+   infinite sum and max) are written as null. *)
 let opt_num name ~default j =
-  match Vjson.mem name j with Some v -> Vjson.num v | None -> default
+  match Json.mem name j with
+  | Some Json.Null -> Float.nan
+  | Some v -> Json.num v
+  | None -> default
 let opt_str name ~default j =
-  match Vjson.mem name j with Some v -> Vjson.str v | None -> default
+  match Json.mem name j with Some v -> Json.str v | None -> default
 
 let hist_of_json j =
   let buckets =
     opt_obj "buckets" j
     |> List.map (fun (k, v) ->
            match int_of_string_opt k with
-           | Some i -> (i, int_of_float (Vjson.num v))
+           | Some i -> (i, int_of_float (Json.num v))
            | None -> fail "non-integer bucket index %S" k)
     |> List.sort compare
   in
@@ -56,15 +62,15 @@ let hists_of_json j =
 
 let counters_of_json j =
   List.map
-    (fun (name, v) -> (name, int_of_float (Vjson.num v)))
+    (fun (name, v) -> (name, int_of_float (Json.num v)))
     (opt_obj "counters" j)
 
 let entry_of_run j =
-  (match Vjson.mem "schema" j with
-  | Some (Vjson.Str "rgleak-run/1") -> ()
-  | Some (Vjson.Str s) -> fail "unsupported ledger schema %S" s
+  (match Json.mem "schema" j with
+  | Some (Json.Str "rgleak-run/1") -> ()
+  | Some (Json.Str s) -> fail "unsupported ledger schema %S" s
   | _ -> fail "ledger record has no schema tag");
-  let gc = Vjson.mem "gc" j in
+  let gc = Json.mem "gc" j in
   {
     e_subcommand = opt_str "subcommand" ~default:"?" j;
     e_args_digest = opt_str "args_digest" ~default:"" j;
@@ -82,11 +88,11 @@ let entry_of_run j =
    (no hists/gc) degrade to counters only — the v1 compatibility
    path. *)
 let entry_of_metrics j =
-  (match Vjson.mem "schema" j with
-  | Some (Vjson.Str ("rgleak-metrics/1" | "rgleak-metrics/2")) -> ()
-  | Some (Vjson.Str s) -> fail "unsupported metrics schema %S" s
+  (match Json.mem "schema" j with
+  | Some (Json.Str ("rgleak-metrics/1" | "rgleak-metrics/2")) -> ()
+  | Some (Json.Str s) -> fail "unsupported metrics schema %S" s
   | _ -> fail "metrics document has no schema tag");
-  let gc = Vjson.mem "gc" j in
+  let gc = Json.mem "gc" j in
   {
     e_subcommand = "(metrics)";
     e_args_digest = "";
@@ -107,8 +113,8 @@ let parse_ledger_string text =
        (fun i line ->
          if String.trim line = "" then []
          else
-           try [ entry_of_run (Vjson.parse line) ]
-           with Vjson.Parse_error m ->
+           try [ entry_of_run (Json.parse line) ]
+           with Json.Parse_error m ->
              fail "ledger line %d: %s" (i + 1) m)
        lines)
 
@@ -121,7 +127,7 @@ let parse_ledger_file path =
   in
   parse_ledger_string text
 
-let parse_metrics_file path = entry_of_metrics (Vjson.parse_file path)
+let parse_metrics_file path = entry_of_metrics (Json.parse_file path)
 
 (* ---------- aggregation ---------- *)
 
@@ -250,26 +256,26 @@ let pp oc a =
   flush oc
 
 let to_json a =
-  let num_i n = Vjson.Num (float_of_int n) in
-  let counts items = Vjson.Obj (List.map (fun (k, n) -> (k, num_i n)) items) in
+  let num_i n = Json.Num (float_of_int n) in
+  let counts items = Json.Obj (List.map (fun (k, n) -> (k, num_i n)) items) in
   let hist_json (name, h) =
     ( name,
-      Vjson.Obj
+      Json.Obj
         [
           ("count", num_i h.Obs.h_count);
-          ("rate_per_s", Vjson.Num (hist_rate a h));
-          ("p50", Vjson.Num (Obs.hist_quantile h 0.50));
-          ("p90", Vjson.Num (Obs.hist_quantile h 0.90));
-          ("p99", Vjson.Num (Obs.hist_quantile h 0.99));
-          ("max", Vjson.Num h.Obs.h_max);
-          ("sum", Vjson.Num h.Obs.h_sum);
+          ("rate_per_s", Json.Num (hist_rate a h));
+          ("p50", Json.Num (Obs.hist_quantile h 0.50));
+          ("p90", Json.Num (Obs.hist_quantile h 0.90));
+          ("p99", Json.Num (Obs.hist_quantile h 0.99));
+          ("max", Json.Num h.Obs.h_max);
+          ("sum", Json.Num h.Obs.h_sum);
         ] )
   in
-  Vjson.Obj
+  Json.Obj
     ([
-       ("schema", Vjson.Str "rgleak-report/1");
+       ("schema", Json.Str "rgleak-report/1");
        ("runs", num_i a.runs);
-       ("wall_s", Vjson.Num a.wall_s);
+       ("wall_s", Json.Num a.wall_s);
        ("by_subcommand", counts a.by_subcommand);
        ("by_exit_class", counts a.by_exit_class);
      ]
@@ -277,22 +283,22 @@ let to_json a =
       | Some rate ->
         [
           ( "cache",
-            Vjson.Obj
+            Json.Obj
               [
                 ("hits", num_i (counter a "cache.hits"));
                 ("misses", num_i (counter a "cache.misses"));
-                ("hit_rate", Vjson.Num rate);
+                ("hit_rate", Json.Num rate);
               ] );
         ]
       | None -> [])
     @ [
-        ("latency", Vjson.Obj (List.map hist_json a.hists));
+        ("latency", Json.Obj (List.map hist_json a.hists));
         ("counters", counts a.counters);
         ( "gc",
-          Vjson.Obj
+          Json.Obj
             [
-              ("minor_words", Vjson.Num a.gc_minor);
-              ("major_words", Vjson.Num a.gc_major);
+              ("minor_words", Json.Num a.gc_minor);
+              ("major_words", Json.Num a.gc_major);
             ] );
       ])
 

@@ -25,7 +25,7 @@ type entry = {
 
 val parse_ledger_string : string -> entry list
 (** Parses JSONL ledger text; blank lines are skipped, malformed lines
-    raise {!Vjson.Parse_error} naming the line number. *)
+    raise {!Rgleak_obs.Json.Parse_error} naming the line number. *)
 
 val parse_ledger_file : string -> entry list
 
@@ -62,7 +62,7 @@ val pp : out_channel -> agg -> unit
 (** Human-readable service tables: run/exit-class counts, cache hit
     rate, per-histogram count/rate/p50/p90/p99/max, counters, GC. *)
 
-val to_json : agg -> Vjson.t
+val to_json : agg -> Rgleak_obs.Json.t
 (** ["rgleak-report/1"] document. *)
 
 (** {2 Regression diff} *)

@@ -22,6 +22,7 @@ open Rgleak_cells
 open Rgleak_circuit
 open Rgleak_core
 open Rgleak_baseline
+module Json = Rgleak_obs.Json
 
 type scenario = {
   sc_n : int;
@@ -201,42 +202,42 @@ type doc_meta = {
 }
 
 let to_json meta (r : Tail.result) =
-  Vjson.Obj
+  Json.Obj
     [
-      ("schema", Vjson.Str schema_id);
-      ("n", Vjson.Num (float_of_int meta.doc_n));
-      ("corr", Vjson.Str meta.doc_corr);
-      ("mix", Vjson.Str meta.doc_mix);
-      ("p", Vjson.Num meta.doc_p);
-      ("seed", Vjson.Num (float_of_int meta.doc_seed));
-      ("replicas", Vjson.Num (float_of_int r.Tail.replicas));
-      ("confidence", Vjson.Num meta.doc_confidence);
-      ("budget_na", Vjson.Num r.Tail.budget);
-      ("delta_nm", Vjson.Num r.Tail.delta);
-      ("shift_norm2", Vjson.Num r.Tail.shift_norm2);
-      ("p_exceed", Vjson.Num r.Tail.p_exceed);
-      ("se", Vjson.Num r.Tail.se);
-      ("ci_lo", Vjson.Num r.Tail.ci_delta.Tail.lo);
-      ("ci_hi", Vjson.Num r.Tail.ci_delta.Tail.hi);
-      ("wilson_lo", Vjson.Num r.Tail.ci_wilson.Tail.lo);
-      ("wilson_hi", Vjson.Num r.Tail.ci_wilson.Tail.hi);
-      ("hits", Vjson.Num (float_of_int r.Tail.hits));
-      ("hit_rate", Vjson.Num r.Tail.hit_rate);
-      ("ess", Vjson.Num r.Tail.ess);
-      ("mean_weight", Vjson.Num r.Tail.mean_weight);
-      ("max_weight", Vjson.Num r.Tail.max_weight);
+      ("schema", Json.Str schema_id);
+      ("n", Json.Num (float_of_int meta.doc_n));
+      ("corr", Json.Str meta.doc_corr);
+      ("mix", Json.Str meta.doc_mix);
+      ("p", Json.Num meta.doc_p);
+      ("seed", Json.Num (float_of_int meta.doc_seed));
+      ("replicas", Json.Num (float_of_int r.Tail.replicas));
+      ("confidence", Json.Num meta.doc_confidence);
+      ("budget_na", Json.Num r.Tail.budget);
+      ("delta_nm", Json.Num r.Tail.delta);
+      ("shift_norm2", Json.Num r.Tail.shift_norm2);
+      ("p_exceed", Json.Num r.Tail.p_exceed);
+      ("se", Json.Num r.Tail.se);
+      ("ci_lo", Json.Num r.Tail.ci_delta.Tail.lo);
+      ("ci_hi", Json.Num r.Tail.ci_delta.Tail.hi);
+      ("wilson_lo", Json.Num r.Tail.ci_wilson.Tail.lo);
+      ("wilson_hi", Json.Num r.Tail.ci_wilson.Tail.hi);
+      ("hits", Json.Num (float_of_int r.Tail.hits));
+      ("hit_rate", Json.Num r.Tail.hit_rate);
+      ("ess", Json.Num r.Tail.ess);
+      ("mean_weight", Json.Num r.Tail.mean_weight);
+      ("max_weight", Json.Num r.Tail.max_weight);
       ( "analytic_p",
         match meta.doc_analytic_p with
-        | Some p -> Vjson.Num p
-        | None -> Vjson.Null );
+        | Some p -> Json.Num p
+        | None -> Json.Null );
       ( "quantiles",
-        Vjson.Arr
+        Json.Arr
           (List.map
              (fun (q : Tail.quantile) ->
-               Vjson.Obj
+               Json.Obj
                  [
-                   ("level", Vjson.Num q.Tail.level);
-                   ("leakage_na", Vjson.Num q.Tail.value);
+                   ("level", Json.Num q.Tail.level);
+                   ("leakage_na", Json.Num q.Tail.value);
                  ])
              r.Tail.quantiles) );
     ]

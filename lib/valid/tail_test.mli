@@ -123,7 +123,7 @@ type doc_meta = {
   doc_analytic_p : float option;
 }
 
-val to_json : doc_meta -> Tail.result -> Vjson.t
+val to_json : doc_meta -> Tail.result -> Rgleak_obs.Json.t
 (** The [rgleak-tail/1] document: scenario identity, the full estimate
     (probability, both CIs, ESS/weight diagnostics, quantiles) and the
     analytic cross-check.  Shared by [rgleak tail] and the golden

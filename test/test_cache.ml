@@ -344,7 +344,7 @@ let test_batch_run_and_report () =
       (Batch.exit_code [ o ]);
     Alcotest.(check bool)
       "record is an error record" true
-      (contains (Rgleak_valid.Vjson.to_string o.Batch.o_json)
+      (contains (Rgleak_obs.Json.to_string o.Batch.o_json)
          {|"status": "error"|})
   | _ -> Alcotest.fail "expected one outcome"
 

@@ -336,9 +336,9 @@ let test_ledger_written () =
   Alcotest.(check int) "one record per run" 2 (List.length lines);
   List.iter
     (fun l ->
-      check_contains "run schema" l {|"schema":"rgleak-run/1"|};
-      check_contains "subcommand recorded" l {|"subcommand":"estimate"|};
-      check_contains "exit class recorded" l {|"exit_class":"ok"|})
+      check_contains "run schema" l {|"schema": "rgleak-run/1"|};
+      check_contains "subcommand recorded" l {|"subcommand": "estimate"|};
+      check_contains "exit class recorded" l {|"exit_class": "ok"|})
     lines
 
 (* a failing run still lands in the ledger, with its diagnostic class *)
@@ -349,7 +349,7 @@ let test_ledger_records_failures () =
     (run
        [ "estimate"; "-n"; "200"; "--method"; "bogus"; "--ledger"; ledger ]);
   check_contains "failure recorded" (read_file ledger)
-    {|"exit_class":"invalid-input"|}
+    {|"exit_class": "invalid-input"|}
 
 let test_report_over_ledger () =
   with_temp_dir @@ fun dir ->
@@ -476,6 +476,23 @@ let test_serve_concurrent_clients () =
         reference (read_file out))
     clients
 
+(* a \u escape in a manifest id decodes to UTF-8 and prints back raw *)
+let test_unicode_id () =
+  with_temp_dir @@ fun dir ->
+  let manifest = Filename.concat dir "u.jsonl" in
+  write_file manifest
+    {|{"id": "caf\u00e9", "n": 100, "mix": "INV_X1:1", "corr": "spherical:100", "tier": "linear"}
+|};
+  let out = Filename.concat dir "batch.jsonl" in
+  Alcotest.(check int) "batch exits 0" 0
+    (run [ "batch"; manifest; "--no-cache"; "--out"; out ]);
+  check_contains "batch id decoded" (read_file out) "\"id\": \"caf\xc3\xa9\"";
+  with_daemon ~args:[ "--no-cache" ] dir @@ fun ~sock ~pid:_ ->
+  let resp = Filename.concat dir "serve.out" in
+  Alcotest.(check int) "client exits 0" 0
+    (run ~out:resp [ "client"; "--socket"; sock; "--manifest"; manifest ]);
+  check_contains "serve id decoded" (read_file resp) "\"id\": \"caf\xc3\xa9\""
+
 (* queue pressure sheds exact/mc tiers to the integral tier, marked *)
 let test_serve_shedding () =
   with_temp_dir @@ fun dir ->
@@ -539,9 +556,9 @@ let test_serve_sigterm_drain () =
   | _, Unix.WSIGNALED s -> Alcotest.failf "daemon killed by signal %d" s
   | _, Unix.WSTOPPED s -> Alcotest.failf "daemon stopped by signal %d" s);
   let line = read_file ledger in
-  check_contains "final ledger line present" line {|"schema":"rgleak-run/1"|};
-  check_contains "attributed to serve" line {|"subcommand":"serve"|};
-  check_contains "clean exit class" line {|"exit_class":"ok"|};
+  check_contains "final ledger line present" line {|"schema": "rgleak-run/1"|};
+  check_contains "attributed to serve" line {|"subcommand": "serve"|};
+  check_contains "clean exit class" line {|"exit_class": "ok"|};
   Alcotest.(check bool) "socket unlinked after drain" false (Sys.file_exists sock)
 
 (* an unbindable socket path is invalid input *)
@@ -610,5 +627,6 @@ let () =
           case "SIGTERM drains and flushes the ledger"
             test_serve_sigterm_drain;
           case "unbindable socket is invalid input" test_serve_bind_error;
+          case "unicode ids survive batch and serve" test_unicode_id;
         ] );
     ]

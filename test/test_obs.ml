@@ -11,6 +11,7 @@ open Rgleak_core
 open Testutil
 module Obs = Rgleak_obs.Obs
 module Export = Rgleak_obs.Export
+module Json = Rgleak_obs.Json
 
 let bits = Int64.bits_of_float
 
@@ -24,173 +25,6 @@ let with_telemetry f =
   Obs.reset ();
   Obs.set_enabled true;
   Fun.protect f ~finally:(fun () -> Obs.set_enabled false)
-
-(* ---------- a minimal JSON reader (no external deps) ---------- *)
-
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  exception Bad of string
-
-  let parse (s : string) : t =
-    let n = String.length s in
-    let pos = ref 0 in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
-    let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
-    let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-      | _ -> ()
-    in
-    let expect c =
-      match peek () with
-      | Some c' when c' = c -> advance ()
-      | _ -> fail (Printf.sprintf "expected %c" c)
-    in
-    let literal word value =
-      String.iter expect word;
-      value
-    in
-    let string_body () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec go () =
-        match peek () with
-        | None -> fail "unterminated string"
-        | Some '"' -> advance ()
-        | Some '\\' ->
-          advance ();
-          (match peek () with
-          | Some '"' -> Buffer.add_char b '"'
-          | Some '\\' -> Buffer.add_char b '\\'
-          | Some '/' -> Buffer.add_char b '/'
-          | Some 'n' -> Buffer.add_char b '\n'
-          | Some 't' -> Buffer.add_char b '\t'
-          | Some 'r' -> Buffer.add_char b '\r'
-          | Some 'b' -> Buffer.add_char b '\b'
-          | Some 'f' -> Buffer.add_char b '\012'
-          | Some 'u' ->
-            (* code points escaped by the exporters are all < 0x80 *)
-            let hex = String.sub s (!pos + 1) 4 in
-            Buffer.add_char b (Char.chr (int_of_string ("0x" ^ hex) land 0x7f));
-            pos := !pos + 4
-          | _ -> fail "bad escape");
-          advance ();
-          go ()
-        | Some c ->
-          Buffer.add_char b c;
-          advance ();
-          go ()
-      in
-      go ();
-      Buffer.contents b
-    in
-    let number () =
-      let start = !pos in
-      let num_char = function
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      in
-      while (match peek () with Some c -> num_char c | None -> false) do
-        advance ()
-      done;
-      match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some f -> Num f
-      | None -> fail "bad number"
-    in
-    let rec value () =
-      skip_ws ();
-      match peek () with
-      | None -> fail "empty input"
-      | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else Obj (members [])
-      | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Arr []
-        end
-        else Arr (elements [])
-      | Some '"' -> Str (string_body ())
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some _ -> number ()
-    and members acc =
-      skip_ws ();
-      let key = string_body () in
-      skip_ws ();
-      expect ':';
-      let v = value () in
-      skip_ws ();
-      match peek () with
-      | Some ',' ->
-        advance ();
-        members ((key, v) :: acc)
-      | Some '}' ->
-        advance ();
-        List.rev ((key, v) :: acc)
-      | _ -> fail "expected , or } in object"
-    and elements acc =
-      let v = value () in
-      skip_ws ();
-      match peek () with
-      | Some ',' ->
-        advance ();
-        elements (v :: acc)
-      | Some ']' ->
-        advance ();
-        List.rev (v :: acc)
-      | _ -> fail "expected , or ] in array"
-    in
-    let v = value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
-    v
-
-  (* Re-serialize, for the round-trip check.  Numbers use %.17g so the
-     parse of the output reproduces the same floats. *)
-  let rec to_string = function
-    | Null -> "null"
-    | Bool b -> string_of_bool b
-    | Num f -> Printf.sprintf "%.17g" f
-    | Str s -> Printf.sprintf "%S" s
-    | Arr vs -> "[" ^ String.concat "," (List.map to_string vs) ^ "]"
-    | Obj kvs ->
-      "{"
-      ^ String.concat ","
-          (List.map (fun (k, v) -> Printf.sprintf "%S:%s" k (to_string v)) kvs)
-      ^ "}"
-
-  let mem key = function
-    | Obj kvs -> List.assoc_opt key kvs
-    | _ -> None
-
-  let get key j =
-    match mem key j with
-    | Some v -> v
-    | None -> Alcotest.failf "json: missing key %S" key
-
-  let str = function Str s -> s | _ -> Alcotest.fail "json: expected string"
-  let num = function Num f -> f | _ -> Alcotest.fail "json: expected number"
-  let arr = function Arr vs -> vs | _ -> Alcotest.fail "json: expected array"
-end
 
 (* ---------- span semantics ---------- *)
 

@@ -7,7 +7,7 @@ open Rgleak_cells
 open Rgleak_circuit
 open Rgleak_core
 open Testutil
-module Vjson = Rgleak_valid.Vjson
+module Json = Rgleak_obs.Json
 module Golden_diff = Rgleak_valid.Golden_diff
 module Obs = Rgleak_obs.Obs
 
@@ -160,29 +160,29 @@ let test_telemetry () =
 
 let optimize_doc ?(schema = "rgleak-optimize/1") ?(n = 40.0) ?(spent = 1.2)
     ?(corr = "spherical") () =
-  Vjson.Obj
+  Json.Obj
     [
-      ("schema", Vjson.Str schema);
-      ("corr", Vjson.Str corr);
-      ("n", Vjson.Num n);
-      ("budget", Vjson.Num 2.0);
-      ("spent", Vjson.Num spent);
-      ("swaps", Vjson.Num 17.0);
-      ("exact_mean_initial", Vjson.Num 3.25e-6);
-      ("exact_mean_final", Vjson.Num 1.75e-6);
-      ("deterministic", Vjson.Bool true);
+      ("schema", Json.Str schema);
+      ("corr", Json.Str corr);
+      ("n", Json.Num n);
+      ("budget", Json.Num 2.0);
+      ("spent", Json.Num spent);
+      ("swaps", Json.Num 17.0);
+      ("exact_mean_initial", Json.Num 3.25e-6);
+      ("exact_mean_final", Json.Num 1.75e-6);
+      ("deterministic", Json.Bool true);
     ]
 
 let test_golden_optimize_identical () =
   let doc = optimize_doc () in
-  let d = Golden_diff.compare_document ~baseline:doc ~current:doc in
+  let d = Golden_diff.compare ~baseline:doc ~current:doc in
   check_true "self-compare is identical"
     (d.Golden_diff.severity = Golden_diff.Identical)
 
 let test_golden_optimize_benign_epsilon () =
   let base = optimize_doc ~spent:1.2 () in
   let cur = optimize_doc ~spent:(1.2 *. (1.0 +. 1e-13)) () in
-  let d = Golden_diff.compare_document ~baseline:base ~current:cur in
+  let d = Golden_diff.compare ~baseline:base ~current:cur in
   check_true "sub-epsilon numeric drift is benign"
     (d.Golden_diff.severity = Golden_diff.Benign)
 
@@ -190,14 +190,14 @@ let test_golden_optimize_breaking () =
   let base = optimize_doc () in
   (* Numeric drift beyond the fallback epsilon. *)
   let d =
-    Golden_diff.compare_document ~baseline:base
+    Golden_diff.compare ~baseline:base
       ~current:(optimize_doc ~spent:1.35 ())
   in
   check_true "numeric drift is breaking"
     (d.Golden_diff.severity = Golden_diff.Breaking);
   (* String change. *)
   let d =
-    Golden_diff.compare_document ~baseline:base
+    Golden_diff.compare ~baseline:base
       ~current:(optimize_doc ~corr:"grid" ())
   in
   check_true "scenario string change is breaking"
@@ -205,11 +205,11 @@ let test_golden_optimize_breaking () =
   (* Field presence change. *)
   let dropped =
     match base with
-    | Vjson.Obj kvs ->
-      Vjson.Obj (List.filter (fun (k, _) -> k <> "swaps") kvs)
+    | Json.Obj kvs ->
+      Json.Obj (List.filter (fun (k, _) -> k <> "swaps") kvs)
     | j -> j
   in
-  let d = Golden_diff.compare_document ~baseline:base ~current:dropped in
+  let d = Golden_diff.compare ~baseline:base ~current:dropped in
   check_true "dropped field is breaking"
     (d.Golden_diff.severity = Golden_diff.Breaking)
 

@@ -8,7 +8,7 @@ open Testutil
 module Obs = Rgleak_obs.Obs
 module Ledger = Rgleak_obs.Ledger
 module Report = Rgleak_valid.Report
-module Vjson = Rgleak_valid.Vjson
+module Json = Rgleak_obs.Json
 
 (* Build a merged histogram by recording through the real telemetry
    core (same bucketing as production call sites). *)
@@ -42,7 +42,7 @@ let test_ledger_round_trip () =
   Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
   Obs.count "cache.lookups" 5;
   Obs.count "pool.tasks" 12;
-  (* dyadic values survive the ledger's %.9g formatting exactly *)
+  (* values survive the ledger's %.17g number formatting exactly *)
   List.iter (Obs.hist_record "batch.scenario_s") [ 0.25; 0.5; 0.5; 4.0 ];
   let snap = Obs.snapshot () in
   let args = [ "batch"; "m.jsonl"; "--jobs"; "4" ] in
@@ -50,9 +50,9 @@ let test_ledger_round_trip () =
     Ledger.line ~subcommand:"batch" ~args ~exit_class:"ok" ~t:1234.5 snap
   in
   (* the line itself is one valid JSON document with the run schema *)
-  let doc = Vjson.parse line in
+  let doc = Json.parse line in
   check_true "run schema tag"
-    (Vjson.str (Vjson.get "schema" doc) = Ledger.schema);
+    (Json.str (Json.get "schema" doc) = Ledger.schema);
   match Report.parse_ledger_string (line ^ "\n\n" ^ line ^ "\n") with
   | [ e; e' ] ->
     check_true "blank lines skipped, both records parsed" (e = e');
@@ -72,6 +72,28 @@ let test_ledger_round_trip () =
       (h.Obs.h_buckets = h0.Obs.h_buckets)
   | es -> Alcotest.failf "expected 2 ledger entries, got %d" (List.length es)
 
+(* An infinite sample gives a histogram an infinite sum and max; JSON
+   cannot spell them, so both documents print null and the ledger
+   reader maps it back to nan, keeping the count and buckets. *)
+let test_nonfinite_hist () =
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
+  Obs.hist_record "lat_s" 0.5;
+  Obs.hist_record "lat_s" infinity;
+  let snap = Obs.snapshot () in
+  let line = Ledger.line ~subcommand:"serve" ~args:[] ~exit_class:"ok" snap in
+  ignore (Json.parse line);
+  ignore (Json.parse (Rgleak_obs.Export.metrics_json snap));
+  match Report.parse_ledger_string line with
+  | [ e ] ->
+    let h = List.assoc "lat_s" e.Report.e_hists in
+    let h0 = List.assoc "lat_s" snap.Obs.hists in
+    check_true "hist count survives" (h.Obs.h_count = h0.Obs.h_count);
+    check_true "sparse buckets survive" (h.Obs.h_buckets = h0.Obs.h_buckets);
+    check_true "infinite max reads back as nan" (Float.is_nan h.Obs.h_max)
+  | es -> Alcotest.failf "expected 1 ledger entry, got %d" (List.length es)
+
 let contains hay needle =
   let nl = String.length needle and hl = String.length hay in
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
@@ -84,7 +106,7 @@ let test_malformed_ledger_line () =
       (Obs.snapshot ())
   in
   match Report.parse_ledger_string (ok_line ^ "\nnot json\n") with
-  | exception Vjson.Parse_error msg ->
+  | exception Json.Parse_error msg ->
     check_true "error names the line number" (contains msg "line 2")
   | _ -> Alcotest.fail "malformed line did not raise"
 
@@ -176,9 +198,9 @@ let test_aggregate_counts_and_cache () =
     (Report.cache_hit_rate (Report.aggregate [ entry () ]) = None);
   let json = Report.to_json agg in
   check_true "report schema"
-    (Vjson.str (Vjson.get "schema" json) = "rgleak-report/1");
+    (Json.str (Json.get "schema" json) = "rgleak-report/1");
   check_true "report JSON round-trips"
-    (Vjson.parse (Vjson.to_string json) = json)
+    (Json.parse (Json.to_string json) = json)
 
 (* ---------- regression diff ---------- *)
 
@@ -238,7 +260,7 @@ let test_mini_ledger_golden () =
     check_true "fixture has several runs" (List.length entries >= 3);
     let agg = Report.aggregate entries in
     let fresh = Report.to_json agg in
-    let committed = Vjson.parse_file mini_report in
+    let committed = Json.parse_file mini_report in
     if fresh <> committed then
       Alcotest.failf
         "committed mini-ledger report drifted; regenerate with\n\
@@ -246,7 +268,7 @@ let test_mini_ledger_golden () =
          fresh:\n\
          %s"
         mini_ledger mini_report
-        (Vjson.to_string ~indent:2 fresh)
+        (Json.to_string ~indent:2 fresh)
   end
 
 let suite =
@@ -254,6 +276,8 @@ let suite =
     [
       case "ledger lines round-trip through the parser"
         test_ledger_round_trip;
+      case "non-finite histogram summaries print as null"
+        test_nonfinite_hist;
       case "malformed ledger lines name their line number"
         test_malformed_ledger_line;
       case "concurrent appenders never interleave records"

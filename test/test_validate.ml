@@ -9,6 +9,7 @@
 open Rgleak_num
 open Rgleak_valid
 open Testutil
+module Json = Rgleak_obs.Json
 
 (* ---- Stat_test: intervals and the equivalence gate ---- *)
 
@@ -62,50 +63,84 @@ let test_kurtosis () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "zero variance accepted")
 
-(* ---- Vjson: the round-trip the golden engine rests on ---- *)
+(* ---- Json: the round-trip the golden engine rests on ---- *)
 
 let sample_doc =
-  Vjson.Obj
+  Json.Obj
     [
-      ("schema", Vjson.Str "x/1");
-      ("pi", Vjson.Num 3.1415926535897931);
-      ("tiny", Vjson.Num 1.2345678901234567e-21);
-      ("count", Vjson.Num 400.0);
-      ("flag", Vjson.Bool true);
-      ("nothing", Vjson.Null);
+      ("schema", Json.Str "x/1");
+      ("pi", Json.Num 3.1415926535897931);
+      ("tiny", Json.Num 1.2345678901234567e-21);
+      ("count", Json.Num 400.0);
+      ("flag", Json.Bool true);
+      ("nothing", Json.Null);
       ( "items",
-        Vjson.Arr
+        Json.Arr
           [
-            Vjson.Num (-0.1);
-            Vjson.Str "a \"quoted\"\nline";
-            Vjson.Obj [ ("k", Vjson.Arr []) ];
-            Vjson.Obj [];
+            Json.Num (-0.1);
+            Json.Str "a \"quoted\"\nline";
+            Json.Obj [ ("k", Json.Arr []) ];
+            Json.Obj [];
           ] );
     ]
 
 let test_vjson_roundtrip () =
-  let compact = Vjson.to_string sample_doc in
-  let pretty = Vjson.to_string ~indent:2 sample_doc in
-  check_true "compact parses back" (Vjson.parse compact = sample_doc);
-  check_true "pretty parses back" (Vjson.parse pretty = sample_doc);
+  let compact = Json.to_string sample_doc in
+  let pretty = Json.to_string ~indent:2 sample_doc in
+  check_true "compact parses back" (Json.parse compact = sample_doc);
+  check_true "pretty parses back" (Json.parse pretty = sample_doc);
   (* %.17g float round-trip is exact, not approximate *)
   let rng = Rng.create ~seed:12 () in
   for _ = 1 to 200 do
     let f = (Rng.uniform rng -. 0.5) *. exp (40.0 *. (Rng.uniform rng -. 0.5)) in
-    match Vjson.parse (Vjson.to_string (Vjson.Num f)) with
-    | Vjson.Num f' ->
+    match Json.parse (Json.to_string (Json.Num f)) with
+    | Json.Num f' ->
       if Int64.bits_of_float f <> Int64.bits_of_float f' then
         Alcotest.failf "float %h drifted to %h over the round-trip" f f'
     | _ -> Alcotest.fail "number parsed as non-number"
-  done
+  done;
+  (* JSON cannot spell nan or infinity *)
+  Alcotest.(check string)
+    "non-finite numbers print as null" {|{"x": null,"y": null}|}
+    (Json.to_string (Json.Obj [ ("x", Json.Num nan); ("y", Json.Num infinity) ]));
+  (* \u escapes decode to UTF-8, surrogate pairs included *)
+  check_true "\\u escape decodes"
+    (Json.parse {|"caf\u00e9 \ud83d\ude00"|} = Json.Str "caf\xc3\xa9 \xf0\x9f\x98\x80");
+  (* parse -> print is the identity on every committed document, and a
+     fixed point on every compact ledger line *)
+  let root = "../../../" in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let golden = root ^ "data/golden/" in
+  if Sys.file_exists golden then begin
+    Sys.readdir golden |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".json")
+    |> List.map (fun f -> golden ^ f)
+    |> List.cons (root ^ "BENCH_estimators.json")
+    |> List.iter (fun path ->
+           let text = read path in
+           Alcotest.(check string) path text
+             (Json.to_string ~indent:2 (Json.parse text)));
+    read (golden ^ "mini_ledger.jsonl")
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> String.trim l <> "")
+    |> List.iter (fun line ->
+           let once = Json.to_string (Json.parse line) in
+           Alcotest.(check string) "ledger line fixed point" once
+             (Json.to_string (Json.parse once)))
+  end
 
 let test_vjson_errors () =
   List.iter
     (fun s ->
-      match Vjson.parse s with
-      | exception Vjson.Parse_error _ -> ()
+      match Json.parse s with
+      | exception Json.Parse_error _ -> ()
       | _ -> Alcotest.failf "malformed %S accepted" s)
-    [ ""; "{"; "tru"; "1..2"; "{\"a\" 1}"; "[1, ]"; "\"open"; "{} garbage" ]
+    [
+      ""; "{"; "tru"; "1..2"; "{\"a\" 1}"; "[1, ]"; "\"open"; "{} garbage";
+      (* bad hex, truncated escapes and lone surrogates *)
+      {|"\u00g1"|}; {|"\u0_12"|}; {|"\u12"|}; {|"\ud83d"|}; {|"\ude00"|};
+      {|"\ud83d\u0041"|};
+    ]
 
 (* ---- golden diff drift classes ---- *)
 
@@ -113,11 +148,11 @@ let test_vjson_errors () =
 let rec update path f j =
   match (path, j) with
   | [], v -> f v
-  | k :: rest, Vjson.Obj kvs ->
-    Vjson.Obj
+  | k :: rest, Json.Obj kvs ->
+    Json.Obj
       (List.map (fun (k', v) -> if k' = k then (k', update rest f v) else (k', v)) kvs)
-  | k :: rest, Vjson.Arr vs ->
-    Vjson.Arr (List.mapi (fun i v -> if string_of_int i = k then update rest f v else v) vs)
+  | k :: rest, Json.Arr vs ->
+    Json.Arr (List.mapi (fun i v -> if string_of_int i = k then update rest f v else v) vs)
   | _ -> Alcotest.fail "bad update path"
 
 let quick_report = lazy (Experiment.run ~seed:42 Experiment.quick_sweep)
@@ -153,13 +188,13 @@ let test_golden_self_identical () =
 let test_golden_drift_classes () =
   let j = Experiment.to_json (Lazy.force quick_report) in
   let mc_se =
-    Vjson.num
-      (Vjson.get "mean_se"
-         (Vjson.get "mc" (List.nth (Vjson.arr (Vjson.get "points" j)) 0)))
+    Json.num
+      (Json.get "mean_se"
+         (Json.get "mc" (List.nth (Json.arr (Json.get "points" j)) 0)))
   in
   let shift_mean delta doc =
     update [ "points"; "0"; "mc"; "mean" ]
-      (fun v -> Vjson.Num (Vjson.num v +. delta))
+      (fun v -> Json.Num (Json.num v +. delta))
       doc
   in
   (* drift within the baseline's own CI: benign *)
@@ -171,31 +206,64 @@ let test_golden_drift_classes () =
     (d.Golden_diff.severity = Golden_diff.Breaking);
   (* structural: a flipped pass flag *)
   let flipped =
-    update [ "points"; "0"; "pass" ] (fun _ -> Vjson.Bool false) j
+    update [ "points"; "0"; "pass" ] (fun _ -> Json.Bool false) j
   in
   let d = Golden_diff.compare ~baseline:flipped ~current:j in
   check_true "pass flip breaking" (d.Golden_diff.severity = Golden_diff.Breaking);
   (* structural: a tier status change *)
   let errored =
     update [ "points"; "0"; "tiers"; "1"; "status" ]
-      (fun _ -> Vjson.Str "error:numeric")
+      (fun _ -> Json.Str "error:numeric")
       j
   in
   let d = Golden_diff.compare ~baseline:errored ~current:j in
   check_true "status change breaking"
     (d.Golden_diff.severity = Golden_diff.Breaking);
   (* structural: schema change short-circuits *)
-  let reschema = update [ "schema" ] (fun _ -> Vjson.Str "rgleak-validate/2") j in
+  let reschema = update [ "schema" ] (fun _ -> Json.Str "rgleak-validate/2") j in
   let d = Golden_diff.compare ~baseline:reschema ~current:j in
   check_true "schema change breaking"
     (d.Golden_diff.severity = Golden_diff.Breaking)
+
+(* Tail documents: p_exceed is judged against the baseline's own
+   z * se, everything else is structural or bit-stable. *)
+let test_golden_tail_drift_classes () =
+  let se = 0.0026 in
+  let doc ?(p_exceed = 0.0264) ?(levels = [ 0.99; 0.999; 0.9999 ])
+      ?(corr = "spherical:120") () =
+    Json.Obj
+      [
+        ("schema", Json.Str "rgleak-tail/1");
+        ("corr", Json.Str corr);
+        ("confidence", Json.Num 0.95);
+        ("p_exceed", Json.Num p_exceed);
+        ("se", Json.Num se);
+        ( "quantiles",
+          Json.Arr
+            (List.map
+               (fun l ->
+                 Json.Obj
+                   [ ("level", Json.Num l); ("leakage_na", Json.Num (1000.0 *. l)) ])
+               levels) );
+      ]
+  in
+  let severity current = (Golden_diff.compare ~baseline:(doc ()) ~current).Golden_diff.severity in
+  check_true "self-compare identical" (severity (doc ()) = Golden_diff.Identical);
+  check_true "p_exceed drift within z*se benign"
+    (severity (doc ~p_exceed:(0.0264 +. (0.5 *. se)) ()) = Golden_diff.Benign);
+  check_true "p_exceed drift beyond z*se breaking"
+    (severity (doc ~p_exceed:(0.0264 +. (10.0 *. se)) ()) = Golden_diff.Breaking);
+  check_true "quantile count change breaking"
+    (severity (doc ~levels:[ 0.99; 0.999 ] ()) = Golden_diff.Breaking);
+  check_true "corr change breaking"
+    (severity (doc ~corr:"gaussian:120" ()) = Golden_diff.Breaking)
 
 (* the committed baseline must match a fresh run bit for bit *)
 let test_committed_baseline () =
   let path = "../../../data/golden/validate_quick.json" in
   if not (Sys.file_exists path) then ()
   else begin
-    let baseline = Vjson.parse_file path in
+    let baseline = Json.parse_file path in
     let current = Experiment.to_json (Lazy.force quick_report) in
     let d = Golden_diff.compare ~baseline ~current in
     if d.Golden_diff.severity <> Golden_diff.Identical then
@@ -229,7 +297,7 @@ let tiny_sweep =
 
 let test_report_jobs_invariant () =
   let run jobs =
-    Vjson.to_string (Experiment.to_json (Experiment.run ~jobs ~seed:11 tiny_sweep))
+    Json.to_string (Experiment.to_json (Experiment.run ~jobs ~seed:11 tiny_sweep))
   in
   let r1 = run 1 in
   Alcotest.(check string) "jobs 1 vs 2" r1 (run 2);
@@ -237,7 +305,7 @@ let test_report_jobs_invariant () =
 
 let test_report_seed_sensitivity () =
   let run seed =
-    Vjson.to_string (Experiment.to_json (Experiment.run ~jobs:1 ~seed tiny_sweep))
+    Json.to_string (Experiment.to_json (Experiment.run ~jobs:1 ~seed tiny_sweep))
   in
   check_true "different seeds differ" (run 11 <> run 12)
 
@@ -270,6 +338,7 @@ let suite =
       case "quick sweep passes" test_quick_sweep_passes;
       case "golden self-compare identical" test_golden_self_identical;
       case "golden drift classes" test_golden_drift_classes;
+      case "golden tail drift classes" test_golden_tail_drift_classes;
       case "committed baseline identical" test_committed_baseline;
       case "report jobs-invariant" test_report_jobs_invariant;
       case "report seed-sensitive" test_report_seed_sensitivity;

@@ -15,7 +15,7 @@
    meaningful improvement (see Bench_gate.should_adopt); the gate's
    exit code is unchanged by adoption. *)
 
-module Vjson = Rgleak_valid.Vjson
+module Json = Rgleak_obs.Json
 module Bench_gate = Rgleak_valid.Bench_gate
 
 let copy_file ~src ~dst =
@@ -60,14 +60,14 @@ let () =
   in
   Arg.parse args (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) usage;
   if !overhead <> "" then begin
-    match Bench_gate.check_overhead (Vjson.parse_file !overhead) with
+    match Bench_gate.check_overhead (Json.parse_file !overhead) with
     | Ok () ->
       Printf.printf "overhead gate: %s PASS\n" !overhead;
       exit 0
     | Error msg ->
       Printf.eprintf "overhead gate: FAIL: %s\n" msg;
       exit 1
-    | exception (Sys_error msg | Vjson.Parse_error msg) ->
+    | exception (Sys_error msg | Json.Parse_error msg) ->
       Printf.eprintf "bench_gate: %s\n" msg;
       exit 2
   end;
@@ -76,12 +76,12 @@ let () =
     exit 2
   end;
   match
-    let baseline = Vjson.parse_file !baseline in
-    let current = Vjson.parse_file !current in
+    let baseline = Json.parse_file !baseline in
+    let current = Json.parse_file !current in
     Bench_gate.compare ~warn_ratio:!warn_ratio ~fail_ratio:!fail_ratio
       ~baseline ~current ()
   with
-  | exception (Sys_error msg | Vjson.Parse_error msg | Invalid_argument msg)
+  | exception (Sys_error msg | Json.Parse_error msg | Invalid_argument msg)
     ->
     Printf.eprintf "bench_gate: %s\n" msg;
     exit 2
