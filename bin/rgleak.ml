@@ -20,47 +20,9 @@ open Rgleak_core
    per-command diagnostics handler maps each diagnostic class to its
    own exit code (invalid input 2, numeric 3, internal 4). *)
 
-let parse_corr s =
-  let num what v =
-    match float_of_string_opt v with
-    | Some f -> f
-    | None ->
-      Guard.invalid
-        (Printf.sprintf "bad %s %S in correlation spec %S" what v s)
-  in
-  match String.split_on_char ':' s with
-  | [ "linear"; d ] -> Corr_model.Linear { dmax = num "distance" d }
-  | [ "spherical"; d ] -> Corr_model.Spherical { dmax = num "distance" d }
-  | [ "exp"; r ] -> Corr_model.Exponential { range = num "range" r }
-  | [ "gauss"; r ] -> Corr_model.Gaussian { range = num "range" r }
-  | [ "texp"; r; d ] ->
-    Corr_model.Truncated_exponential
-      { range = num "range" r; dmax = num "distance" d }
-  | _ ->
-    Guard.invalid
-      (Printf.sprintf
-         "cannot parse correlation %S (expected e.g. linear:120, exp:60, \
-          gauss:80, spherical:120, texp:60:120)"
-         s)
-
-let parse_mix_pairs s =
-  let entries = String.split_on_char ',' (String.trim s) in
-  List.map
-    (fun entry ->
-      match String.split_on_char ':' (String.trim entry) with
-      | [ name; w ] -> (
-        match float_of_string_opt w with
-        | Some w -> (String.trim name, w)
-        | None ->
-          Guard.invalid
-            (Printf.sprintf "bad weight in mix entry %S (want CELL:WEIGHT)"
-               entry))
-      | _ ->
-        Guard.invalid
-          (Printf.sprintf "bad mix entry %S (want CELL:WEIGHT)" entry))
-    entries
-
-let parse_mix s = Histogram.of_weights (parse_mix_pairs s)
+module Batch = Rgleak_cache.Batch
+module Cache = Rgleak_cache.Cache
+module Json = Rgleak_obs.Json
 
 let corr_arg =
   let doc =
@@ -84,16 +46,93 @@ let vt_arg =
   let doc = "Apply the random-dopant V_t multiplicative mean correction." in
   Arg.(value & flag & info [ "vt" ] ~doc)
 
-let parse_method = function
-  | "auto" -> Estimate.Auto
-  | "linear" -> Estimate.Linear
-  | "int2d" -> Estimate.Integral_2d
-  | "polar" -> Estimate.Integral_polar
-  | s ->
-    Guard.invalid
-      (Printf.sprintf "unknown method %S (expected auto, linear, int2d or polar)" s)
+(* The design inputs of the paper's estimator: gate count, cell mix,
+   correlation model and signal probability, as given on the command
+   line.  They are validated only by Batch.parse_scenario, the manifest
+   parser, so a flag accepts exactly what its manifest field does. *)
+type design = { n : int; mix : string; corr : string; p : float option }
 
-let corr_of s = Corr_model.create (parse_corr s) Process_param.default_channel_length
+let default_mix = "INV_X1:20,NAND2_X1:18,NOR2_X1:8,XOR2_X1:4,DFF_X1:9"
+
+let design_term ~default_mix =
+  let n =
+    Arg.(required & opt (some int) None & info [ "n" ] ~docv:"GATES" ~doc:"Gate count.")
+  in
+  let mix =
+    Arg.(
+      value & opt string default_mix
+      & info [ "mix" ] ~docv:"MIX"
+          ~doc:"Cell-usage mix as CELL:WEIGHT pairs, comma separated.")
+  in
+  Term.(const (fun n mix corr p -> { n; mix; corr; p }) $ n $ mix $ corr_arg $ p_arg)
+
+let jnum x = Json.Num x
+let jint i = Json.Num (float_of_int i)
+let opt_field k f = Option.fold ~none:[] ~some:(fun v -> [ (k, f v) ])
+
+(* The validated scenario of a design plus further manifest [fields]. *)
+let scenario_of ?(fields = []) d =
+  Batch.parse_scenario
+    (Json.Obj
+       ([ ("n", jint d.n); ("mix", Json.Str d.mix); ("corr", Json.Str d.corr) ]
+       @ opt_field "p" jnum d.p @ fields))
+
+let corr_model family =
+  Corr_model.create family Process_param.default_channel_length
+
+(* The early-mode problem of a scenario on the default near-square die. *)
+let square_spec (s : Batch.scenario) =
+  let layout = Layout.square ~n:s.Batch.s_n () in
+  {
+    Estimate.histogram = Histogram.of_weights s.Batch.s_mix;
+    n = s.Batch.s_n;
+    width = Layout.width layout;
+    height = Layout.height layout;
+  }
+
+let p_or_maximizing chars histogram = function
+  | Some p -> p
+  | None ->
+    Signal_prob.maximizing_p chars ~weights:(Histogram.to_array histogram)
+
+(* A path that cannot be read or written is bad input, not a bug. *)
+let read_file path =
+  try In_channel.with_open_bin path In_channel.input_all
+  with Sys_error msg -> Guard.invalid msg
+
+let write_file path text =
+  try Out_channel.with_open_bin path (fun oc -> output_string oc text)
+  with Sys_error msg -> Guard.invalid msg
+
+(* The result cache: --cache-dir, plus --no-cache where caching is on by
+   default.  The term yields an opener taking the size cap, run inside
+   the diagnostics handler. *)
+let cache_term ~by_default ~doc =
+  let dir =
+    Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)
+  in
+  let no_cache =
+    Arg.(
+      value & flag
+      & info [ "no-cache" ]
+          ~doc:"Disable the on-disk cache (compute everything in-process).")
+  in
+  let open_ dir no_cache cap_bytes =
+    let dir =
+      if no_cache then None
+      else if by_default then Some (Option.value dir ~default:(Cache.default_dir ()))
+      else dir
+    in
+    Option.map
+      (fun dir ->
+        Cache.open_
+          ~on_corrupt:(fun d ->
+            Printf.eprintf "rgleak: warning: %s\n%!" (Guard.to_string d))
+          ?cap_bytes ~dir ())
+      dir
+  in
+  if by_default then Term.(const open_ $ dir $ no_cache)
+  else Term.(const (fun dir -> open_ dir false) $ dir)
 
 let char_arg =
   let doc =
@@ -128,7 +167,6 @@ module Obs = Rgleak_obs.Obs
 module Obs_export = Rgleak_obs.Export
 
 module Ledger = Rgleak_obs.Ledger
-module Json = Rgleak_obs.Json
 
 type trace_opts = {
   trace : bool;
@@ -446,9 +484,6 @@ let characterize_cmd =
 (* ---------- estimate (early mode) ---------- *)
 
 let estimate_cmd =
-  let n_arg =
-    Arg.(required & opt (some int) None & info [ "n" ] ~docv:"GATES" ~doc:"Gate count.")
-  in
   let width_arg =
     Arg.(
       value & opt (some float) None
@@ -458,13 +493,6 @@ let estimate_cmd =
     Arg.(
       value & opt (some float) None
       & info [ "height" ] ~docv:"UM" ~doc:"Die height in micrometres.")
-  in
-  let mix_arg =
-    Arg.(
-      value
-      & opt string "INV_X1:20,NAND2_X1:18,NOR2_X1:8,AND2_X1:8,OR2_X1:5,XOR2_X1:4,BUF_X1:5,DFF_X1:9"
-      & info [ "mix" ] ~docv:"MIX"
-          ~doc:"Cell-usage mix as CELL:WEIGHT pairs, comma separated.")
   in
   (* Under tracing, [estimate] additionally exercises every estimator
      tier on the same problem, so one trace shows the linear layout
@@ -490,47 +518,53 @@ let estimate_cmd =
       prerr_endline
         "trace: profiled linear and integral tiers (exact skipped for n > 5000)"
   in
-  let run n width height mix corr p method_ vt char_file jobs ro tr =
+  let run design width height method_ vt char_file jobs ro tr =
     with_diagnostics ro @@ fun () ->
     apply_jobs jobs;
     with_telemetry tr @@ fun () ->
     (* Parse every argument before the (expensive) characterization so
        bad input fails fast with exit code 2. *)
-    let histogram = parse_mix mix in
-    let corr = corr_of corr in
-    let method_ = parse_method method_ in
-    let layout = Layout.square ~n () in
-    let width = Option.value width ~default:(Layout.width layout) in
-    let height = Option.value height ~default:(Layout.height layout) in
-    let chars = chars_of char_file in
-    let spec = { Estimate.histogram; n; width; height } in
-    let ctx = Estimate.context ?p ~chars ~corr ~histogram () in
-    let describe = function
-      | Estimate.Auto -> "auto"
-      | Estimate.Linear -> "linear"
-      | Estimate.Integral_2d -> "int2d"
-      | Estimate.Integral_polar -> "polar"
+    let s =
+      scenario_of design
+        ~fields:
+          ([ ("tier", Json.Str method_); ("vt", Json.Bool vt) ]
+          @ opt_field "width" jnum width
+          @ opt_field "height" jnum height)
     in
+    let corr = corr_model s.Batch.s_family in
+    let spec = square_spec s in
+    let spec =
+      match s.Batch.s_dims with
+      | Some (width, height) -> { spec with Estimate.width; height }
+      | None -> spec
+    in
+    let { Estimate.histogram; n; width; height } = spec in
+    let p = s.Batch.s_p in
+    (* The requested tier first, then the fallbacks in order. *)
+    let tiers =
+      List.map
+        (fun t -> (Batch.tier_name t, Batch.method_selector t))
+        (s.Batch.s_tier
+        :: List.filter (( <> ) s.Batch.s_tier)
+             [ Batch.Linear; Batch.Integral_polar; Batch.Integral_2d ])
+    in
+    let chars = chars_of char_file in
+    let ctx = Estimate.context ?p ~chars ~corr ~histogram () in
     (* Best-effort degradation: when the requested tier breaks down
        numerically and --strict is off, report it on stderr and fall
        back through the remaining tiers; --strict turns the first
        failure into exit code 3. *)
     let rec attempt = function
       | [] -> Guard.numeric ~site:"estimate" "every estimator tier failed"
-      | m :: rest -> (
-        match Estimate.run_result ~method_:m ~with_vt:vt ctx spec with
+      | (name, m) :: rest -> (
+        match Estimate.run_result ~method_:m ~with_vt:s.Batch.s_vt ctx spec with
         | Ok r -> r
         | Error d ->
           if ro.strict || rest = [] then raise (Guard.Error d);
           Printf.eprintf "rgleak: tier %s failed (%s); degrading to %s\n%!"
-            (describe m) (Guard.to_string d)
-            (describe (List.hd rest));
+            name (Guard.to_string d)
+            (fst (List.hd rest));
           attempt rest)
-    in
-    let tiers =
-      method_
-      :: List.filter (fun m -> m <> method_)
-           [ Estimate.Linear; Estimate.Integral_polar; Estimate.Integral_2d ]
     in
     let r = attempt tiers in
     print_result
@@ -544,8 +578,12 @@ let estimate_cmd =
     (Cmd.info "estimate"
        ~doc:"Early-mode full-chip leakage estimate from high-level characteristics")
     Term.(
-      const run $ n_arg $ width_arg $ height_arg $ mix_arg $ corr_arg $ p_arg
-      $ method_arg $ vt_arg $ char_arg $ jobs_arg $ robust_term $ trace_term)
+      const run
+      $ design_term
+          ~default_mix:
+            "INV_X1:20,NAND2_X1:18,NOR2_X1:8,AND2_X1:8,OR2_X1:5,XOR2_X1:4,BUF_X1:5,DFF_X1:9"
+      $ width_arg $ height_arg $ method_arg $ vt_arg $ char_arg $ jobs_arg
+      $ robust_term $ trace_term)
 
 (* ---------- signoff (late mode on a benchmark) ---------- *)
 
@@ -605,8 +643,8 @@ let signoff_cmd =
     | _ ->
       Guard.invalid
         "give exactly one of --benchmark, --bench-file or --verilog-file");
-    let corr = corr_of corr in
-    let method_ = parse_method method_ in
+    let corr = corr_model (Batch.parse_family corr) in
+    let method_ = Batch.method_selector (Batch.tier_of_name method_) in
     let chars = Characterize.default_library () in
     let place_netlist netlist label =
       match placement with
@@ -679,15 +717,6 @@ let signoff_cmd =
 (* ---------- yield ---------- *)
 
 let yield_cmd =
-  let n_arg =
-    Arg.(required & opt (some int) None & info [ "n" ] ~docv:"GATES" ~doc:"Gate count.")
-  in
-  let mix_arg =
-    Arg.(
-      value
-      & opt string "INV_X1:20,NAND2_X1:18,NOR2_X1:8,XOR2_X1:4,DFF_X1:9"
-      & info [ "mix" ] ~docv:"MIX" ~doc:"Cell-usage mix as CELL:WEIGHT pairs.")
-  in
   let budget_arg =
     Arg.(
       value
@@ -695,24 +724,16 @@ let yield_cmd =
       & info [ "budget" ] ~docv:"UA"
           ~doc:"Leakage budget in microamperes; reports the parametric yield.")
   in
-  let run n mix corr p budget ro tr =
+  let run design budget ro tr =
     with_diagnostics ro @@ fun () ->
     with_telemetry tr @@ fun () ->
-    let histogram = parse_mix mix in
-    let corr = corr_of corr in
-    let layout = Layout.square ~n () in
+    let s = scenario_of design in
+    let corr = corr_model s.Batch.s_family in
+    let spec = square_spec s in
     let chars = Characterize.default_library () in
-    let spec =
-      {
-        Estimate.histogram;
-        n;
-        width = Layout.width layout;
-        height = Layout.height layout;
-      }
-    in
-    let r = Estimate.early ?p ~with_vt:true ~chars ~corr spec in
+    let r = Estimate.early ?p:s.Batch.s_p ~with_vt:true ~chars ~corr spec in
     let d = Distribution.of_estimate r in
-    print_result (Printf.sprintf "leakage distribution (%d gates)" n) r;
+    print_result (Printf.sprintf "leakage distribution (%d gates)" spec.n) r;
     Printf.printf "quantiles (lognormal):\n";
     List.iter
       (fun q ->
@@ -731,37 +752,21 @@ let yield_cmd =
     (Cmd.info "yield"
        ~doc:"Leakage distribution quantiles and parametric yield vs a budget")
     Term.(
-      const run $ n_arg $ mix_arg $ corr_arg $ p_arg $ budget_arg $ robust_term
+      const run $ design_term ~default_mix $ budget_arg $ robust_term
       $ trace_term)
 
 (* ---------- sensitivity ---------- *)
 
 let sensitivity_cmd =
-  let n_arg =
-    Arg.(required & opt (some int) None & info [ "n" ] ~docv:"GATES" ~doc:"Gate count.")
-  in
-  let mix_arg =
-    Arg.(
-      value
-      & opt string "INV_X1:20,NAND2_X1:18,NOR2_X1:8,XOR2_X1:4,DFF_X1:9"
-      & info [ "mix" ] ~docv:"MIX" ~doc:"Cell-usage mix as CELL:WEIGHT pairs.")
-  in
-  let run n mix corr p char_file ro tr =
+  let run design char_file ro tr =
     with_diagnostics ro @@ fun () ->
     with_telemetry tr @@ fun () ->
-    let histogram = parse_mix mix in
-    let corr = corr_of corr in
+    let s = scenario_of design in
+    let corr = corr_model s.Batch.s_family in
     let chars = chars_of char_file in
-    let layout = Layout.square ~n () in
-    let spec =
-      {
-        Estimate.histogram;
-        n;
-        width = Layout.width layout;
-        height = Layout.height layout;
-      }
+    let report =
+      Sensitivity.analyze ~chars ~corr ?p:s.Batch.s_p (square_spec s)
     in
-    let report = Sensitivity.analyze ~chars ~corr ?p spec in
     Format.printf "%a" Sensitivity.pp report
   in
   Cmd.v
@@ -769,8 +774,7 @@ let sensitivity_cmd =
        ~doc:"What-if report: how the leakage statistics respond to mix, die \
              and gate-count changes")
     Term.(
-      const run $ n_arg $ mix_arg $ corr_arg $ p_arg $ char_arg $ robust_term
-      $ trace_term)
+      const run $ design_term ~default_mix $ char_arg $ robust_term $ trace_term)
 
 (* ---------- convert ---------- *)
 
@@ -815,9 +819,7 @@ let convert_cmd =
       | _ ->
         (Verilog.to_string (Verilog.of_netlist netlist), Netlist.size netlist)
     in
-    let oc = open_out output in
-    output_string oc text;
-    close_out oc;
+    write_file output text;
     Printf.printf "wrote %s (%d gates, %s) to %s\n" spec.Benchmarks.name gates
       format output
   in
@@ -829,32 +831,13 @@ let convert_cmd =
 (* ---------- corners ---------- *)
 
 let corners_cmd =
-  let n_arg =
-    Arg.(required & opt (some int) None & info [ "n" ] ~docv:"GATES" ~doc:"Gate count.")
-  in
-  let mix_arg =
-    Arg.(
-      value
-      & opt string "INV_X1:20,NAND2_X1:18,NOR2_X1:8,XOR2_X1:4,DFF_X1:9"
-      & info [ "mix" ] ~docv:"MIX" ~doc:"Cell-usage mix as CELL:WEIGHT pairs.")
-  in
-  let run n mix corr p ro tr =
+  let run design ro tr =
     with_diagnostics ro @@ fun () ->
     with_telemetry tr @@ fun () ->
-    let histogram = parse_mix mix in
-    let corr = corr_of corr in
-    let layout = Layout.square ~n () in
-    let spec =
-      {
-        Estimate.histogram;
-        n;
-        width = Layout.width layout;
-        height = Layout.height layout;
-      }
-    in
+    let s = scenario_of design in
     let results =
-      Corners.analyze ?p ~param:Process_param.default_channel_length ~corr
-        ~spec ()
+      Corners.analyze ?p:s.Batch.s_p ~param:Process_param.default_channel_length
+        ~corr:(corr_model s.Batch.s_family) ~spec:(square_spec s) ()
     in
     Format.printf "%a" Corners.pp results;
     let w = Corners.worst results in
@@ -865,31 +848,22 @@ let corners_cmd =
   Cmd.v
     (Cmd.info "corners"
        ~doc:"Leakage statistics across process/temperature corners")
-    Term.(const run $ n_arg $ mix_arg $ corr_arg $ p_arg $ robust_term $ trace_term)
+    Term.(const run $ design_term ~default_mix $ robust_term $ trace_term)
 
 (* ---------- profile ---------- *)
 
 let profile_cmd =
-  let n_arg =
-    Arg.(required & opt (some int) None & info [ "n" ] ~docv:"GATES" ~doc:"Gate count.")
-  in
-  let mix_arg =
-    Arg.(
-      value
-      & opt string "INV_X1:20,NAND2_X1:18,NOR2_X1:8,XOR2_X1:4,DFF_X1:9"
-      & info [ "mix" ] ~docv:"MIX" ~doc:"Cell-usage mix as CELL:WEIGHT pairs.")
-  in
-  let run n mix corr p char_file ro tr =
+  let run design char_file ro tr =
     with_diagnostics ro @@ fun () ->
     with_telemetry tr @@ fun () ->
-    let histogram = parse_mix mix in
-    let corr = corr_of corr in
+    let s = scenario_of design in
+    let corr = corr_model s.Batch.s_family in
+    let { Estimate.histogram; n; width; height } = square_spec s in
     let chars = chars_of char_file in
-    let layout = Layout.square ~n () in
-    let ctx = Estimate.context ?p ~chars ~corr ~histogram () in
+    let ctx = Estimate.context ?p:s.Batch.s_p ~chars ~corr ~histogram () in
     let prof =
       Variance_profile.compute ~corr ~rgcorr:(Estimate.correlation ctx) ~n
-        ~width:(Layout.width layout) ~height:(Layout.height layout) ()
+        ~width ~height ()
     in
     Format.printf "variance decomposition by pair separation:@.%a"
       Variance_profile.pp prof;
@@ -900,45 +874,27 @@ let profile_cmd =
     (Cmd.info "profile"
        ~doc:"Decompose the leakage variance by gate-pair separation")
     Term.(
-      const run $ n_arg $ mix_arg $ corr_arg $ p_arg $ char_arg $ robust_term
-      $ trace_term)
+      const run $ design_term ~default_mix $ char_arg $ robust_term $ trace_term)
 
 (* ---------- map ---------- *)
 
 let map_cmd =
-  let n_arg =
-    Arg.(required & opt (some int) None & info [ "n" ] ~docv:"GATES" ~doc:"Gate count.")
-  in
-  let mix_arg =
-    Arg.(
-      value
-      & opt string "INV_X1:20,NAND2_X1:18,NOR2_X1:8,XOR2_X1:4,DFF_X1:9"
-      & info [ "mix" ] ~docv:"MIX" ~doc:"Cell-usage mix as CELL:WEIGHT pairs.")
-  in
   let tiles_arg =
     Arg.(value & opt int 12 & info [ "tiles" ] ~docv:"K" ~doc:"Tiles per axis.")
   in
   let samples_arg =
     Arg.(value & opt int 400 & info [ "samples" ] ~docv:"DIES" ~doc:"Sampled dies.")
   in
-  let run n mix corr p char_file tiles samples ro tr =
+  let run design char_file tiles samples ro tr =
     with_diagnostics ro @@ fun () ->
     with_telemetry tr @@ fun () ->
-    let histogram = parse_mix mix in
-    let corr = corr_of corr in
+    let s = scenario_of design in
+    let corr = corr_model s.Batch.s_family in
+    let { Estimate.histogram; n; width; height } = square_spec s in
     let chars = chars_of char_file in
-    let layout = Layout.square ~n () in
-    let p =
-      match p with
-      | Some p -> p
-      | None ->
-        Signal_prob.maximizing_p chars ~weights:(Histogram.to_array histogram)
-    in
+    let p = p_or_maximizing chars histogram s.Batch.s_p in
     let rg = Random_gate.create ~chars ~histogram ~p () in
-    let map =
-      Leakage_map.compute ~tiles ~samples ~rg ~corr ~n
-        ~width:(Layout.width layout) ~height:(Layout.height layout) ()
-    in
+    let map = Leakage_map.compute ~tiles ~samples ~rg ~corr ~n ~width ~height () in
     print_string (Leakage_map.render map);
     Printf.printf "hotspot ratio (peak tile / mean tile): %.3f over %d dies\n"
       map.Leakage_map.hotspot_ratio map.Leakage_map.samples
@@ -947,8 +903,8 @@ let map_cmd =
     (Cmd.info "map"
        ~doc:"Spatial leakage map: per-tile statistics and the hotspot ratio")
     Term.(
-      const run $ n_arg $ mix_arg $ corr_arg $ p_arg $ char_arg $ tiles_arg
-      $ samples_arg $ robust_term $ trace_term)
+      const run $ design_term ~default_mix $ char_arg $ tiles_arg $ samples_arg
+      $ robust_term $ trace_term)
 
 (* ---------- sleep ---------- *)
 
@@ -1087,15 +1043,6 @@ let validate_cmd =
 
 let tail_cmd =
   let module Tail_test = Rgleak_valid.Tail_test in
-  let n_arg =
-    Arg.(required & opt (some int) None & info [ "n" ] ~docv:"GATES" ~doc:"Gate count.")
-  in
-  let mix_arg =
-    Arg.(
-      value
-      & opt string "INV_X1:20,NAND2_X1:18,NOR2_X1:8,XOR2_X1:4,DFF_X1:9"
-      & info [ "mix" ] ~docv:"MIX" ~doc:"Cell-usage mix as CELL:WEIGHT pairs.")
-  in
   let budget_arg =
     Arg.(
       required
@@ -1149,53 +1096,42 @@ let tail_cmd =
              CI is benign; structural changes or drift beyond it exit \
              non-zero.")
   in
-  let run n mix corr p budget replicas seed shift char_file json golden jobs ro
-      tr =
+  let run design budget replicas seed shift char_file json golden jobs ro tr =
     with_diagnostics ro @@ fun () ->
     apply_jobs jobs;
     with_telemetry tr @@ fun () ->
     (* Argument validation first: bad budgets/shifts are invalid-input
        diagnostics (exit 2), never NaN reports. *)
-    if n <= 0 then Guard.invalid "gate count must be positive";
-    if not (budget > 0.0 && Float.is_finite budget) then
-      Guard.invalid "--budget must be a positive finite current in uA";
-    if replicas < 2 then Guard.invalid "--replicas must be at least 2";
-    Option.iter
-      (fun d ->
-        if not (Float.is_finite d && Float.abs d <= 30.0) then
-          Guard.invalid
-            "--shift must be a finite channel-length offset within +/-30 nm \
-             (the characterization grid spans about +/-25 nm)")
-      shift;
-    (match p with
-    | Some p when not (p >= 0.0 && p <= 1.0) ->
-      Guard.invalid "p must be in [0, 1]"
-    | _ -> ());
-    let mix_pairs = parse_mix_pairs mix in
-    let family = parse_corr corr in
+    let s =
+      scenario_of design
+        ~fields:
+          ([
+             ("tier", Json.Str "tail");
+             ("budget", jnum budget);
+             ("replicas", jint replicas);
+             ("seed", jint seed);
+           ]
+          @ opt_field "shift" jnum shift)
+    in
     let chars = chars_of char_file in
     let p =
-      match p with
-      | Some p -> p
-      | None ->
-        Signal_prob.maximizing_p chars
-          ~weights:(Histogram.to_array (Histogram.of_weights mix_pairs))
+      p_or_maximizing chars (Histogram.of_weights s.Batch.s_mix) s.Batch.s_p
     in
     let scenario =
       {
-        Tail_test.sc_n = n;
-        sc_family = family;
+        Tail_test.sc_n = s.Batch.s_n;
+        sc_family = s.Batch.s_family;
         sc_p = p;
-        sc_mix_name = mix;
-        sc_mix = mix_pairs;
+        sc_mix_name = design.mix;
+        sc_mix = s.Batch.s_mix;
       }
     in
-    let setup = Tail_test.prepare ~chars ~seed scenario in
+    let setup = Tail_test.prepare ~chars ~seed:s.Batch.s_seed scenario in
     let budget_na = budget *. 1000.0 in
     let confidence = 0.95 in
     let r =
-      Tail_test.run ?jobs ~confidence ?shift_delta:shift ~budget:budget_na
-        ~replicas setup
+      Tail_test.run ?jobs ~confidence ?shift_delta:s.Batch.s_shift
+        ~budget:budget_na ~replicas:s.Batch.s_replicas setup
     in
     let analytic_p = Tail_test.analytic_exceedance setup ~budget:budget_na in
     Format.printf "%a@." Rgleak_core.Tail.pp r;
@@ -1209,11 +1145,11 @@ let tail_cmd =
     let doc =
       Tail_test.to_json
         {
-          Tail_test.doc_n = n;
-          doc_corr = corr;
-          doc_mix = mix;
+          Tail_test.doc_n = s.Batch.s_n;
+          doc_corr = design.corr;
+          doc_mix = design.mix;
           doc_p = p;
-          doc_seed = seed;
+          doc_seed = s.Batch.s_seed;
           doc_confidence = confidence;
           doc_analytic_p = Some analytic_p;
         }
@@ -1221,10 +1157,7 @@ let tail_cmd =
     in
     Option.iter
       (fun path ->
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () -> output_string oc (Json.to_string ~indent:2 doc));
+        write_file path (Json.to_string ~indent:2 doc);
         Printf.printf "report written to %s\n" path)
       json;
     if not (golden_ok golden doc) then exit 1
@@ -1235,27 +1168,14 @@ let tail_cmd =
          "Tail-risk estimation: importance-sampled P(leakage > budget) with \
           high quantiles, confidence intervals and ESS diagnostics")
     Term.(
-      const run $ n_arg $ mix_arg $ corr_arg $ p_arg $ budget_arg
-      $ replicas_arg $ seed_arg $ shift_arg $ char_arg $ json_arg $ golden_arg
-      $ jobs_arg $ robust_term $ trace_term)
+      const run $ design_term ~default_mix $ budget_arg $ replicas_arg $ seed_arg
+      $ shift_arg $ char_arg $ json_arg $ golden_arg $ jobs_arg $ robust_term
+      $ trace_term)
 
 (* ---------- optimize ---------- *)
 
 let optimize_cmd =
-  let module Cache = Rgleak_cache.Cache in
   let module Memo = Rgleak_cache.Memo in
-  let n_arg =
-    Arg.(
-      required
-      & opt (some int) None
-      & info [ "n" ] ~docv:"GATES" ~doc:"Gate count.")
-  in
-  let mix_arg =
-    Arg.(
-      value
-      & opt string "INV_X1:20,NAND2_X1:18,NOR2_X1:8,XOR2_X1:4,DFF_X1:9"
-      & info [ "mix" ] ~docv:"MIX" ~doc:"Cell-usage mix as CELL:WEIGHT pairs.")
-  in
   let budget_arg =
     Arg.(
       required
@@ -1301,26 +1221,19 @@ let optimize_cmd =
              report is deterministic, so any drift beyond bit-stability \
              epsilon (or any structural change) exits non-zero.")
   in
-  let cache_dir_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cache-dir" ] ~docv:"DIR"
-          ~doc:
-            "Memoize the packed per-(type-pair, distance-bin) covariance \
-             tables in the content-addressed cache at $(docv).  Cached and \
-             uncached runs are bit-identical (hex-float payload).")
+  let cache_term =
+    cache_term ~by_default:false
+      ~doc:
+        "Memoize the packed per-(type-pair, distance-bin) covariance tables \
+         in the content-addressed cache at $(docv).  Cached and uncached \
+         runs are bit-identical (hex-float payload)."
   in
-  let run n mix corr p budget start seed char_file cache_dir json golden jobs
-      ro tr =
+  let run design budget start seed char_file open_cache json golden jobs ro tr =
     with_diagnostics ro @@ fun () ->
     apply_jobs jobs;
     with_telemetry tr @@ fun () ->
-    if n <= 0 then Guard.invalid "gate count must be positive";
-    (match p with
-    | Some p when not (p >= 0.0 && p <= 1.0) ->
-      Guard.invalid "p must be in [0, 1]"
-    | _ -> ());
+    let s = scenario_of design ~fields:[ ("seed", jint seed) ] in
+    let n = s.Batch.s_n in
     let start_flavor =
       match Vt_correction.flavor_of_string start with
       | Some f -> f
@@ -1328,31 +1241,19 @@ let optimize_cmd =
         Guard.invalid
           (Printf.sprintf "unknown flavor %S (expected lvt, svt or hvt)" start)
     in
-    let mix_pairs = parse_mix_pairs mix in
-    let histogram = Histogram.of_weights mix_pairs in
-    let corr_model = corr_of corr in
+    let histogram = Histogram.of_weights s.Batch.s_mix in
+    let corr_model = corr_model s.Batch.s_family in
     let chars = chars_of char_file in
-    let p =
-      match p with
-      | Some p -> p
-      | None ->
-        Signal_prob.maximizing_p chars ~weights:(Histogram.to_array histogram)
-    in
-    let rng = Rng.create ~seed () in
+    let p = p_or_maximizing chars histogram s.Batch.s_p in
+    let rng = Rng.create ~seed:s.Batch.s_seed () in
     let placed = Generator.random_placed ~histogram ~n ~rng () in
     let rg = Random_gate.create ~chars ~histogram ~p () in
     let rgcorr = Rg_correlation.create ~chars ~rg ~p () in
     let distance_points = 512 in
     let cov =
-      match cache_dir with
+      match open_cache None with
       | None -> None
-      | Some dir ->
-        let cache =
-          Cache.open_
-            ~on_corrupt:(fun d ->
-              Printf.eprintf "rgleak: warning: %s\n%!" (Guard.to_string d))
-            ~dir ()
-        in
+      | Some cache ->
         let used =
           Array.of_list
             (List.sort_uniq compare
@@ -1367,7 +1268,7 @@ let optimize_cmd =
         Some
           (Memo.delta_tables ~cache ~corr:corr_model ~rgcorr ~used
              ~distance_points ~dstep
-             ~key_parts:[ "corr=" ^ corr ]
+             ~key_parts:[ "corr=" ^ design.corr ]
              ())
     in
     let st =
@@ -1415,10 +1316,10 @@ let optimize_cmd =
         ([
            ("schema", Json.Str "rgleak-optimize/1");
            ("n", Json.Num (float_of_int n));
-           ("corr", Json.Str corr);
-           ("mix", Json.Str mix);
+           ("corr", Json.Str design.corr);
+           ("mix", Json.Str design.mix);
            ("p", Json.Num p);
-           ("seed", Json.Num (float_of_int seed));
+           ("seed", jint s.Batch.s_seed);
            ("start", Json.Str (Vt_correction.flavor_name start_flavor));
            ("method", Json.Str "greedy-density");
            ("budget", Json.Num budget);
@@ -1447,10 +1348,7 @@ let optimize_cmd =
     in
     Option.iter
       (fun path ->
-        let oc = open_out_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () -> output_string oc (Json.to_string ~indent:2 doc));
+        write_file path (Json.to_string ~indent:2 doc);
         Printf.printf "report written to %s\n" path)
       json;
     if not (golden_ok golden doc) then exit 1
@@ -1463,15 +1361,13 @@ let optimize_cmd =
           timing-slack proxy budget, each swap re-estimated in O(n) and \
           bit-identical to a cold rebuild")
     Term.(
-      const run $ n_arg $ mix_arg $ corr_arg $ p_arg $ budget_arg $ start_arg
-      $ seed_arg $ char_arg $ cache_dir_arg $ json_arg $ golden_arg $ jobs_arg
-      $ robust_term $ trace_term)
+      const run $ design_term ~default_mix $ budget_arg $ start_arg $ seed_arg
+      $ char_arg $ cache_term $ json_arg $ golden_arg $ jobs_arg $ robust_term
+      $ trace_term)
 
 (* ---------- batch ---------- *)
 
 let batch_cmd =
-  let module Cache = Rgleak_cache.Cache in
-  let module Batch = Rgleak_cache.Batch in
   let manifest_arg =
     Arg.(
       required
@@ -1491,57 +1387,26 @@ let batch_cmd =
             "Write the rgleak-batch/1 JSONL report to $(docv) instead of \
              stdout.")
   in
-  let cache_dir_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cache-dir" ] ~docv:"DIR"
-          ~doc:
-            "Root of the content-addressed result cache.  Defaults to \
-             \\$RGLEAK_CACHE_DIR, then \\$XDG_CACHE_HOME/rgleak, then \
-             ~/.cache/rgleak.  Cached and uncached runs are bit-identical; \
-             corrupt entries are deleted and recomputed.")
+  let cache_term =
+    cache_term ~by_default:true
+      ~doc:
+        "Root of the content-addressed result cache.  Defaults to \
+         \\$RGLEAK_CACHE_DIR, then \\$XDG_CACHE_HOME/rgleak, then \
+         ~/.cache/rgleak.  Cached and uncached runs are bit-identical; \
+         corrupt entries are deleted and recomputed."
   in
-  let no_cache_arg =
-    Arg.(
-      value & flag
-      & info [ "no-cache" ]
-          ~doc:"Disable the on-disk cache (compute everything in-process).")
-  in
-  let run manifest_path out cache_dir no_cache jobs ro tr =
+  let run manifest_path out open_cache jobs ro tr =
     with_diagnostics ro @@ fun () ->
     apply_jobs jobs;
     with_telemetry tr @@ fun () ->
-    let text =
-      try
-        let ic = open_in_bin manifest_path in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      with Sys_error msg -> Guard.invalid msg
-    in
-    let scenarios = Batch.parse_manifest text in
-    let cache =
-      if no_cache then None
-      else
-        let dir =
-          match cache_dir with Some d -> d | None -> Cache.default_dir ()
-        in
-        Some
-          (Cache.open_
-             ~on_corrupt:(fun d ->
-               Printf.eprintf "rgleak: warning: %s\n%!" (Guard.to_string d))
-             ~dir ())
-    in
+    let scenarios = Batch.parse_manifest (read_file manifest_path) in
+    let cache = open_cache None in
     let outcomes = Batch.run ?cache scenarios in
     let report = Batch.report outcomes in
     (match out with
     | None -> print_string report
     | Some path ->
-      let oc = open_out_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc report);
+      write_file path report;
       Printf.eprintf "batch: wrote %d records to %s\n%!"
         (List.length outcomes) path);
     Option.iter
@@ -1566,8 +1431,8 @@ let batch_cmd =
           across cold/warm caches; per-scenario failures become error \
           records and the exit code is the highest failure class.")
     Term.(
-      const run $ manifest_arg $ out_arg $ cache_dir_arg $ no_cache_arg
-      $ jobs_arg $ robust_term $ trace_term)
+      const run $ manifest_arg $ out_arg $ cache_term $ jobs_arg $ robust_term
+      $ trace_term)
 
 (* ---------- report ---------- *)
 
@@ -1635,10 +1500,7 @@ let report_cmd =
           let doc = Json.to_string ~indent:2 (Report.to_json agg) in
           if path = "-" then print_string doc
           else begin
-            let oc = open_out_bin path in
-            Fun.protect
-              ~finally:(fun () -> close_out_noerr oc)
-              (fun () -> output_string oc doc);
+            write_file path doc;
             Printf.eprintf "report: wrote %s\n%!" path
           end)
         json
@@ -1676,7 +1538,6 @@ let socket_arg =
         ~doc:"Unix-domain socket path of the estimation daemon.")
 
 let serve_cmd =
-  let module Cache = Rgleak_cache.Cache in
   let module Serve = Rgleak_serve.Serve in
   let max_queue_arg =
     Arg.(
@@ -1708,24 +1569,15 @@ let serve_cmd =
              coldest entries are evicted until total on-disk bytes fit.  \
              Default: unbounded.")
   in
-  let cache_dir_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cache-dir" ] ~docv:"DIR"
-          ~doc:
-            "Root of the shared content-addressed result cache.  Defaults to \
-             \\$RGLEAK_CACHE_DIR, then \\$XDG_CACHE_HOME/rgleak, then \
-             ~/.cache/rgleak.")
+  let cache_term =
+    cache_term ~by_default:true
+      ~doc:
+        "Root of the shared content-addressed result cache.  Defaults to \
+         \\$RGLEAK_CACHE_DIR, then \\$XDG_CACHE_HOME/rgleak, then \
+         ~/.cache/rgleak."
   in
-  let no_cache_arg =
-    Arg.(
-      value & flag
-      & info [ "no-cache" ]
-          ~doc:"Disable the on-disk cache (compute everything in-process).")
-  in
-  let run socket_path max_queue shed_threshold cache_cap cache_dir no_cache
-      jobs ro tr =
+  let run socket_path max_queue shed_threshold cache_cap open_cache jobs ro tr
+      =
     with_diagnostics ro @@ fun () ->
     apply_jobs jobs;
     with_telemetry tr @@ fun () ->
@@ -1736,18 +1588,7 @@ let serve_cmd =
     Option.iter
       (fun b -> if b < 0 then Guard.invalid "--cache-cap must be >= 0")
       cache_cap;
-    let cache =
-      if no_cache then None
-      else
-        let dir =
-          match cache_dir with Some d -> d | None -> Cache.default_dir ()
-        in
-        Some
-          (Cache.open_
-             ~on_corrupt:(fun d ->
-               Printf.eprintf "rgleak: warning: %s\n%!" (Guard.to_string d))
-             ?cap_bytes:cache_cap ~dir ())
-    in
+    let cache = open_cache cache_cap in
     Serve.run
       ~on_listen:(fun () ->
         Printf.eprintf "serve: listening on %s (max queue %d%s)\n%!"
@@ -1771,7 +1612,7 @@ let serve_cmd =
           for the same manifest lines.")
     Term.(
       const run $ socket_arg $ max_queue_arg $ shed_arg $ cache_cap_arg
-      $ cache_dir_arg $ no_cache_arg $ jobs_arg $ robust_term $ trace_term)
+      $ cache_term $ jobs_arg $ robust_term $ trace_term)
 
 let client_cmd =
   let module Protocol = Rgleak_serve.Protocol in
@@ -1815,14 +1656,8 @@ let client_cmd =
       match (manifest, stats, ping, shutdown) with
       | Some path, false, false, false ->
         let text =
-          try
-            if path = "-" then In_channel.input_all In_channel.stdin
-            else
-              let ic = open_in_bin path in
-              Fun.protect
-                ~finally:(fun () -> close_in_noerr ic)
-                (fun () -> really_input_string ic (in_channel_length ic))
-          with Sys_error msg -> Guard.invalid msg
+          if path = "-" then In_channel.input_all In_channel.stdin
+          else read_file path
         in
         (Protocol.Estimate, text)
       | None, true, false, false -> (Protocol.Stats, "")

@@ -54,7 +54,18 @@ let () =
     (fun t -> Obs.declare_hist ~owner:"batch" ("batch.tier." ^ t ^ "_s"))
     [ "auto"; "linear"; "int2d"; "polar"; "exact"; "mc"; "tail" ]
 
-let tier_of_name line = function
+(* Diagnostics name the manifest line when there is one; a scenario built
+   from command-line flags has none. *)
+let fail ?line fmt =
+  Printf.ksprintf
+    (fun s ->
+      Guard.invalid
+        (match line with
+        | Some l -> Printf.sprintf "manifest line %d: %s" l s
+        | None -> s))
+    fmt
+
+let tier_of_name ?line = function
   | "auto" -> Auto
   | "linear" -> Linear
   | "int2d" -> Integral_2d
@@ -63,11 +74,18 @@ let tier_of_name line = function
   | "mc" -> Mc
   | "tail" -> Tail
   | s ->
-    Guard.invalid
-      (Printf.sprintf
-         "manifest line %d: unknown tier %S (want auto, linear, int2d, \
-          polar, exact, mc or tail)"
-         line s)
+    fail ?line
+      "unknown tier %S (want auto, linear, int2d, polar, exact, mc or tail)" s
+
+let method_selector = function
+  | Auto -> Estimate.Auto
+  | Linear -> Estimate.Linear
+  | Integral_2d -> Estimate.Integral_2d
+  | Integral_polar -> Estimate.Integral_polar
+  | (Exact | Mc | Tail) as t ->
+    fail "tier %S is not an early-mode method (want auto, linear, int2d or \
+          polar)"
+      (tier_name t)
 
 (* Canonical spellings use hex floats so a key never depends on decimal
    rendering quirks. *)
@@ -127,16 +145,11 @@ let known_fields =
     "height"; "vt"; "replicas"; "temp"; "budget"; "shift";
   ]
 
-let fail_line line fmt =
-  Printf.ksprintf
-    (fun s -> Guard.invalid (Printf.sprintf "manifest line %d: %s" line s))
-    fmt
-
-let parse_family line s =
+let parse_family ?line s =
   let num what v =
     match float_of_string_opt v with
     | Some f when Float.is_finite f && f > 0.0 -> f
-    | _ -> fail_line line "bad %s %S in correlation spec %S" what v s
+    | _ -> fail ?line "bad %s %S in correlation spec %S" what v s
   in
   match String.split_on_char ':' s with
   | [ "linear"; d ] -> Corr_model.Linear { dmax = num "distance" d }
@@ -147,78 +160,84 @@ let parse_family line s =
     Corr_model.Truncated_exponential
       { range = num "range" r; dmax = num "distance" d }
   | _ ->
-    fail_line line
+    fail ?line
       "cannot parse correlation %S (expected e.g. linear:120, exp:60, \
        gauss:80, spherical:120, texp:60:120)"
       s
 
-let parse_mix line s =
+let parse_mix ?line s =
+  if String.trim s = "" then fail ?line "empty cell mix";
   let entries = String.split_on_char ',' (String.trim s) in
-  List.map
-    (fun entry ->
-      match String.split_on_char ':' (String.trim entry) with
-      | [ name; w ] -> (
-        let name = String.trim name in
-        (match Library.index_of name with
-        | _ -> ()
-        | exception Not_found -> fail_line line "unknown cell %S" name);
-        match float_of_string_opt w with
-        | Some w when Float.is_finite w && w >= 0.0 -> (name, w)
-        | _ -> fail_line line "bad weight in mix entry %S" entry)
-      | _ -> fail_line line "bad mix entry %S (want CELL:WEIGHT)" entry)
-    entries
+  let mix =
+    List.map
+      (fun entry ->
+        match String.split_on_char ':' (String.trim entry) with
+        | [ name; w ] -> (
+          let name = String.trim name in
+          (match Library.index_of name with
+          | _ -> ()
+          | exception Not_found -> fail ?line "unknown cell %S" name);
+          match float_of_string_opt w with
+          | Some w when Float.is_finite w && w >= 0.0 -> (name, w)
+          | _ -> fail ?line "bad weight in mix entry %S" entry)
+        | _ -> fail ?line "bad mix entry %S (want CELL:WEIGHT)" entry)
+      entries
+  in
+  let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 mix in
+  if not (total > 0.0 && Float.is_finite total) then
+    fail ?line "cell mix weights must sum to a positive finite value";
+  mix
 
-let parse_scenario ~line json =
+let parse_scenario ?line json =
   let fields =
     match json with
     | Json.Obj kvs -> kvs
-    | _ -> fail_line line "expected a JSON object"
+    | _ -> fail ?line "expected a JSON object"
   in
   List.iter
     (fun (k, _) ->
       if not (List.mem k known_fields) then
-        fail_line line "unknown field %S (known: %s)" k
+        fail ?line "unknown field %S (known: %s)" k
           (String.concat ", " known_fields))
     fields;
   let field k = List.assoc_opt k fields in
   let str k v =
     match v with
     | Json.Str s -> s
-    | _ -> fail_line line "field %S must be a string" k
+    | _ -> fail ?line "field %S must be a string" k
   in
   let num k v =
     match v with
     | Json.Num x when Float.is_finite x -> x
-    | _ -> fail_line line "field %S must be a finite number" k
+    | _ -> fail ?line "field %S must be a finite number" k
   in
   let int k v =
     let x = num k v in
-    if Float.is_integer x then int_of_float x
-    else fail_line line "field %S must be an integer" k
+    (* Beyond 2^53 a double no longer holds every integer. *)
+    if Float.is_integer x && Float.abs x <= 0x1p53 then int_of_float x
+    else fail ?line "field %S must be an integer" k
   in
   let required k =
     match field k with
     | Some v -> v
-    | None -> fail_line line "missing required field %S" k
+    | None -> fail ?line "missing required field %S" k
   in
   let n = int "n" (required "n") in
-  if n < 1 then fail_line line "n must be at least 1";
-  let mix_s = str "mix" (required "mix") in
-  if String.trim mix_s = "" then fail_line line "empty cell mix";
-  let s_mix = parse_mix line mix_s in
-  let s_family = parse_family line (str "corr" (required "corr")) in
+  if n < 1 then fail ?line "n must be at least 1";
+  let s_mix = parse_mix ?line (str "mix" (required "mix")) in
+  let s_family = parse_family ?line (str "corr" (required "corr")) in
   let s_p =
     Option.map
       (fun v ->
         let p = num "p" v in
-        if p < 0.0 || p > 1.0 then fail_line line "p must be in [0, 1]";
+        if p < 0.0 || p > 1.0 then fail ?line "p must be in [0, 1]";
         p)
       (field "p")
   in
   let s_tier =
     match field "tier" with
     | None -> Auto
-    | Some v -> tier_of_name line (str "tier" v)
+    | Some v -> tier_of_name ?line (str "tier" v)
   in
   let s_seed = match field "seed" with None -> 0 | Some v -> int "seed" v in
   let s_aspect =
@@ -226,14 +245,14 @@ let parse_scenario ~line json =
     | None -> 1.0
     | Some v ->
       let a = num "aspect" v in
-      if a <= 0.0 then fail_line line "aspect must be positive";
+      if a <= 0.0 then fail ?line "aspect must be positive";
       a
   in
   let dim k =
     Option.map
       (fun v ->
         let d = num k v in
-        if d <= 0.0 then fail_line line "%s must be positive" k;
+        if d <= 0.0 then fail ?line "%s must be positive" k;
         d)
       (field k)
   in
@@ -241,30 +260,38 @@ let parse_scenario ~line json =
     match (dim "width", dim "height") with
     | Some w, Some h -> Some (w, h)
     | None, None -> None
-    | _ -> fail_line line "width and height must be given together"
+    | _ -> fail ?line "width and height must be given together"
   in
   let s_vt =
     match field "vt" with
     | None -> false
     | Some (Json.Bool b) -> b
-    | Some _ -> fail_line line "field \"vt\" must be a boolean"
+    | Some _ -> fail ?line "field \"vt\" must be a boolean"
   in
   let s_replicas =
     match field "replicas" with
     | None -> 400
     | Some v ->
       let r = int "replicas" v in
-      if r < 2 then fail_line line "replicas must be at least 2";
+      if r < 2 then fail ?line "replicas must be at least 2";
       r
   in
-  let s_temp = Option.map (num "temp") (field "temp") in
+  let s_temp =
+    Option.map
+      (fun v ->
+        let t = num "temp" v in
+        if not (t > -273.15) then
+          fail ?line "temp must be above -273.15 C (absolute zero)";
+        t)
+      (field "temp")
+  in
   (* Tail-only fields: [budget] (µA, required for the tail tier) and
      [shift] (nm, optional manual override of the calibrated shift). *)
   let s_budget =
     Option.map
       (fun v ->
         let b = num "budget" v in
-        if not (b > 0.0) then fail_line line "budget must be positive";
+        if not (b > 0.0) then fail ?line "budget must be positive";
         b)
       (field "budget")
   in
@@ -272,16 +299,22 @@ let parse_scenario ~line json =
   (match s_tier with
   | Tail ->
     if s_budget = None then
-      fail_line line "tail tier requires a budget field (uA)"
+      fail ?line "tail tier requires a budget field (uA)";
+    (match s_shift with
+    | Some d when Float.abs d > 30.0 ->
+      fail ?line
+        "shift must be within +/-30 nm (the characterization grid spans \
+         about +/-25 nm)"
+    | _ -> ())
   | _ ->
     if s_budget <> None then
-      fail_line line "field \"budget\" only applies to the tail tier";
+      fail ?line "field \"budget\" only applies to the tail tier";
     if s_shift <> None then
-      fail_line line "field \"shift\" only applies to the tail tier");
+      fail ?line "field \"shift\" only applies to the tail tier");
   let s =
     {
       s_id = "";
-      s_line = line;
+      s_line = Option.value line ~default:0;
       s_n = n;
       s_mix;
       s_family;
@@ -301,7 +334,7 @@ let parse_scenario ~line json =
     match field "id" with
     | Some v ->
       let id = str "id" v in
-      if id = "" then fail_line line "empty id" else id
+      if id = "" then fail ?line "empty id" else id
     | None -> derived_id s
   in
   { s with s_id }
@@ -316,7 +349,7 @@ let parse_manifest text =
            let json =
              try Json.parse trimmed
              with Json.Parse_error msg ->
-               fail_line line "malformed JSON (%s)" msg
+               fail ~line "malformed JSON (%s)" msg
            in
            scenarios := parse_scenario ~line json :: !scenarios);
   match List.rev !scenarios with
@@ -446,14 +479,7 @@ let run_scenario state scen =
         height = Layout.height layout;
       }
     in
-    let method_ =
-      match t with
-      | Auto -> Estimate.Auto
-      | Linear -> Estimate.Linear
-      | Integral_2d -> Estimate.Integral_2d
-      | Integral_polar -> Estimate.Integral_polar
-      | Exact | Mc | Tail -> assert false
-    in
+    let method_ = method_selector t in
     let ctx =
       Estimate.context_with ~corr ~rgcorr:ctx_e.e_rgcorr
         ~histogram:ctx_e.e_histogram ~p:ctx_e.e_p ()

@@ -22,6 +22,14 @@
     threshold) and [shift] (nm, [tail] only: manual proposal shift
     overriding the automatic budget calibration).
 
+    Ranges: integers ([n] ≥ 1, [seed], [replicas] ≥ 2) must be exact,
+    with magnitude at most 2{^53}; mix weights are finite, non-negative
+    and sum to a positive value; correlation distances, [aspect],
+    [width], [height] and [budget] are positive; [p] lies in [\[0, 1\]];
+    [temp] lies above −273.15 °C; [shift] lies within ±30 nm.  The
+    command-line subcommands validate their design flags with these
+    same rules through {!parse_scenario}.
+
     Malformed JSON, unknown fields, unknown cells and out-of-range
     values are {e manifest} errors: parsing raises
     {!Rgleak_num.Guard.Error} ([Invalid_input]) naming the line, and
@@ -59,6 +67,26 @@ type scenario = {
 }
 
 val tier_name : tier -> string
+
+val tier_of_name : ?line:int -> string -> tier
+(** Inverse of {!tier_name}.  Raises {!Rgleak_num.Guard.Error}
+    ([Invalid_input]) on an unknown name.  With [line], the message is
+    prefixed ["manifest line N: "], as for every parser below. *)
+
+val method_selector : tier -> Rgleak_core.Estimate.method_selector
+(** The early-mode estimator of an analytic tier ([auto], [linear],
+    [int2d], [polar]).  Raises [Invalid_input] for [exact], [mc] and
+    [tail], which are not early-mode methods. *)
+
+val parse_family : ?line:int -> string -> Rgleak_process.Corr_model.wid_family
+(** Parses a correlation spec: [linear:DMAX], [spherical:DMAX],
+    [exp:RANGE], [gauss:RANGE] or [texp:RANGE:DMAX], each a positive
+    finite distance in µm. *)
+
+val parse_scenario : ?line:int -> Rgleak_obs.Json.t -> scenario
+(** Parses and validates one scenario object (the fields and ranges
+    above).  [s_line] is [line], or 0 without one.  Raises
+    [Invalid_input] on the first bad field. *)
 
 val scenario_key_parts : scenario -> string list
 (** The canonical content key parts of a scenario (library fingerprint,

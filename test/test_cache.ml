@@ -44,6 +44,13 @@ let check_invalid name f =
   | _ -> Alcotest.failf "%s: expected Guard.Error Invalid_input" name
   | exception Guard.Error (Guard.Invalid_input _) -> ()
 
+let check_invalid_msg name want f =
+  match f () with
+  | _ -> Alcotest.failf "%s: expected Guard.Error Invalid_input" name
+  | exception Guard.Error (Guard.Invalid_input msg) ->
+    if not (contains msg want) then
+      Alcotest.failf "%s: message %S lacks %S" name msg want
+
 (* --- the store ------------------------------------------------------ *)
 
 (* The key is a pure function of the part list: these literals pin the
@@ -304,7 +311,49 @@ let test_manifest_errors () =
         {|{"n": 10, "mix": "INV_X1:1", "corr": "exp:60", "width": 40}|});
   check_invalid "unknown tier" (fun () ->
       Batch.parse_manifest
-        {|{"n": 10, "mix": "INV_X1:1", "corr": "exp:60", "tier": "warp"}|})
+        {|{"n": 10, "mix": "INV_X1:1", "corr": "exp:60", "tier": "warp"}|});
+  check_invalid "seed beyond 2^53" (fun () ->
+      Batch.parse_manifest
+        {|{"n": 10, "mix": "INV_X1:1", "corr": "exp:60", "seed": 1e300}|});
+  check_invalid_msg "n beyond 2^53" "field \"n\" must be an integer"
+    (fun () ->
+      Batch.parse_manifest {|{"n": 1e19, "mix": "INV_X1:1", "corr": "exp:60"}|});
+  check_invalid "mix weights sum to zero" (fun () ->
+      Batch.parse_manifest {|{"n": 10, "mix": "INV_X1:0", "corr": "exp:60"}|});
+  check_invalid "temperature below absolute zero" (fun () ->
+      Batch.parse_manifest
+        {|{"n": 10, "mix": "INV_X1:1", "corr": "exp:60", "temp": -400}|});
+  check_invalid "temperature at absolute zero" (fun () ->
+      Batch.parse_manifest
+        {|{"n": 10, "mix": "INV_X1:1", "corr": "exp:60", "temp": -273.15}|});
+  check_invalid_msg "tail shift beyond 30 nm"
+    "manifest line 1: shift must be within +/-30 nm" (fun () ->
+      Batch.parse_manifest
+        {|{"n": 10, "mix": "INV_X1:1", "corr": "exp:60", "tier": "tail", "budget": 5, "shift": 31}|})
+
+(* The same parser serves the CLI: without a line the message carries no
+   manifest prefix, with one it is the manifest's message verbatim. *)
+let test_scenario_parser_prefix () =
+  let bad =
+    Rgleak_obs.Json.parse {|{"n": 10, "mix": "NOPE_X9:1", "corr": "exp:60"}|}
+  in
+  let message f =
+    match f () with
+    | _ -> Alcotest.fail "unknown cell accepted"
+    | exception Guard.Error (Guard.Invalid_input msg) -> msg
+  in
+  Alcotest.(check string)
+    "no manifest prefix" {|unknown cell "NOPE_X9"|}
+    (message (fun () -> Batch.parse_scenario bad));
+  Alcotest.(check string)
+    "manifest prefix" {|manifest line 4: unknown cell "NOPE_X9"|}
+    (message (fun () -> Batch.parse_scenario ~line:4 bad));
+  let ok = Batch.parse_scenario (Rgleak_obs.Json.parse manifest_line) in
+  let from_manifest = List.hd (Batch.parse_manifest manifest_line) in
+  Alcotest.(check int) "no line" 0 ok.Batch.s_line;
+  Alcotest.(check bool)
+    "same scenario as the manifest parser" true
+    ({ ok with Batch.s_line = 1 } = from_manifest)
 
 let test_manifest_ids_content_derived () =
   (* The derived id must not depend on the line position: the same
@@ -457,6 +506,8 @@ let suite =
         test_empty_sweep_guard;
       Alcotest.test_case "manifest errors are Invalid_input" `Quick
         test_manifest_errors;
+      Alcotest.test_case "the CLI and manifests share one scenario parser"
+        `Quick test_scenario_parser_prefix;
       Alcotest.test_case "scenario ids derive from content, not position"
         `Quick test_manifest_ids_content_derived;
       Alcotest.test_case "batch runs and reports" `Quick

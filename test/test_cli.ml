@@ -6,11 +6,11 @@
 
 let rgleak = "../bin/rgleak.exe"
 
-let run ?(out = "/dev/null") args =
+let run ?(out = "/dev/null") ?(err = "/dev/null") args =
   let cmd =
-    Printf.sprintf "%s > %s 2>/dev/null"
+    Printf.sprintf "%s > %s 2> %s"
       (Filename.quote_command rgleak args)
-      (Filename.quote out)
+      (Filename.quote out) (Filename.quote err)
   in
   match Unix.system cmd with
   | Unix.WEXITED code -> code
@@ -27,6 +27,11 @@ let read_file path =
   close_in ic;
   s
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
 (* invalid input exits 2, before any expensive characterization *)
 let test_invalid_input () =
   check_exit "unknown method" 2
@@ -40,7 +45,40 @@ let test_invalid_input () =
     [ "estimate"; "-n"; "500"; "--fault-spec"; "cholesky:2:1" ];
   check_exit "conflicting signoff sources" 2
     [ "signoff"; "--benchmark"; "c432"; "--bench-file"; "x.bench" ];
-  check_exit "unknown cell" 2 [ "characterize"; "--cell"; "NOPE" ]
+  check_exit "unknown cell" 2 [ "characterize"; "--cell"; "NOPE" ];
+  check_exit "unwritable output path" 2
+    [ "convert"; "--benchmark"; "c432"; "--output"; "/nonexistent/x.bench" ];
+  (* Design flags go through the manifest parser, so they fail the way a
+     manifest line does: early, and as invalid input. *)
+  List.iter
+    (fun (cmd, extra) ->
+      check_exit ("unknown mix cell, " ^ cmd) 2
+        ((cmd :: "-n" :: "100" :: extra) @ [ "--mix"; "FOO_X1:3" ]))
+    [
+      ("estimate", []);
+      ("tail", [ "--budget"; "1" ]);
+      ("optimize", [ "--budget"; "1" ]);
+      ("yield", []);
+    ];
+  check_exit "negative correlation distance" 2
+    [ "estimate"; "-n"; "500"; "--corr"; "linear:-5" ];
+  check_exit "width without height" 2
+    [ "estimate"; "-n"; "500"; "--width"; "100" ];
+  check_exit "signal probability above one" 2
+    [ "estimate"; "-n"; "500"; "-p"; "1.5" ];
+  check_exit "tail shift beyond 30 nm" 2
+    [ "tail"; "-n"; "100"; "--budget"; "1"; "--shift"; "31" ];
+  (* A NaN range is rejected while parsing, not by a tier breaking down. *)
+  let err = Filename.temp_file "rgleak_cli" ".err" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove err)
+    (fun () ->
+      Alcotest.(check int)
+        "NaN correlation range" 2
+        (run ~err [ "estimate"; "-n"; "500"; "--corr"; "exp:nan" ]);
+      let stderr = read_file err in
+      if contains stderr "degrading" then
+        Alcotest.failf "NaN range reached the estimator tiers: %s" stderr)
 
 (* fault-spec edge cases: every malformed shape must exit 2 before any
    estimation work, including duplicates that List.assoc would silently
@@ -193,14 +231,20 @@ let test_batch_manifest_errors () =
   Alcotest.(check int) "missing corr field exits 2" 2
     (run [ "batch"; bad; "--no-cache" ]);
   Alcotest.(check int) "missing manifest file exits 2" 2
-    (run [ "batch"; Filename.concat dir "nosuch.jsonl"; "--no-cache" ])
+    (run [ "batch"; Filename.concat dir "nosuch.jsonl"; "--no-cache" ]);
+  (* The shift bound is checked when the line is parsed, as for
+     tail --shift: no scenario runs and no report is written. *)
+  let shift =
+    path "shift.jsonl"
+      {|{"n": 60, "mix": "INV_X1:1", "corr": "exp:60", "tier": "tail", "budget": 5, "shift": 31}|}
+  in
+  let out = Filename.concat dir "shift_report.jsonl" in
+  Alcotest.(check int) "tail shift beyond 30 nm exits 2" 2
+    (run [ "batch"; shift; "--no-cache"; "--out"; out ]);
+  Alcotest.(check bool) "rejected before any report" false
+    (Sys.file_exists out)
 
 (* ---------- run ledger and fleet report ---------- *)
-
-let contains hay needle =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
 
 let check_contains name hay needle =
   if not (contains hay needle) then
