@@ -450,7 +450,7 @@ let characterize_cmd =
     (match save with
     | None -> ()
     | Some path ->
-      Char_io.save ~path chars;
+      write_file path (Char_io.to_string chars);
       Printf.printf "saved characterization to %s\n" path);
     let selected =
       match cell_index with
@@ -524,10 +524,11 @@ let estimate_cmd =
     with_telemetry tr @@ fun () ->
     (* Parse every argument before the (expensive) characterization so
        bad input fails fast with exit code 2. *)
+    let tier = Batch.tier_name (Batch.method_of_name method_) in
     let s =
       scenario_of design
         ~fields:
-          ([ ("tier", Json.Str method_); ("vt", Json.Bool vt) ]
+          ([ ("tier", Json.Str tier); ("vt", Json.Bool vt) ]
           @ opt_field "width" jnum width
           @ opt_field "height" jnum height)
     in
@@ -644,7 +645,8 @@ let signoff_cmd =
       Guard.invalid
         "give exactly one of --benchmark, --bench-file or --verilog-file");
     let corr = corr_model (Batch.parse_family corr) in
-    let method_ = Batch.method_selector (Batch.tier_of_name method_) in
+    let method_ = Batch.method_selector (Batch.method_of_name method_) in
+    let p = Option.map Batch.check_p p in
     let chars = Characterize.default_library () in
     let place_netlist netlist label =
       match placement with
@@ -1022,12 +1024,13 @@ let validate_cmd =
     let sweep = Experiment.sweep_named sweep_name in
     let report = Experiment.run ?jobs ~seed sweep in
     Format.printf "%a" Experiment.pp_report report;
+    let doc = Experiment.to_json report in
     Option.iter
       (fun path ->
-        Experiment.write_json ~path report;
+        write_file path (Json.to_string ~indent:2 doc);
         Printf.printf "report written to %s\n" path)
       json;
-    let golden_pass = golden_ok golden (Experiment.to_json report) in
+    let golden_pass = golden_ok golden doc in
     if not (report.Experiment.pass && golden_pass) then exit 1
   in
   Cmd.v

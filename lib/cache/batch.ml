@@ -77,6 +77,16 @@ let tier_of_name ?line = function
     fail ?line
       "unknown tier %S (want auto, linear, int2d, polar, exact, mc or tail)" s
 
+(* The tiers an early-mode method flag may name. *)
+let method_of_name s =
+  if not (List.mem s [ "auto"; "linear"; "int2d"; "polar" ]) then
+    fail "unknown method %S (want auto, linear, int2d or polar)" s;
+  tier_of_name s
+
+let check_p ?line p =
+  if not (p >= 0.0 && p <= 1.0) then fail ?line "p must be in [0, 1]";
+  p
+
 let method_selector = function
   | Auto -> Estimate.Auto
   | Linear -> Estimate.Linear
@@ -227,12 +237,7 @@ let parse_scenario ?line json =
   let s_mix = parse_mix ?line (str "mix" (required "mix")) in
   let s_family = parse_family ?line (str "corr" (required "corr")) in
   let s_p =
-    Option.map
-      (fun v ->
-        let p = num "p" v in
-        if p < 0.0 || p > 1.0 then fail ?line "p must be in [0, 1]";
-        p)
-      (field "p")
+    Option.map (fun v -> check_p ?line (num "p" v)) (field "p")
   in
   let s_tier =
     match field "tier" with

@@ -73,6 +73,15 @@ val tier_of_name : ?line:int -> string -> tier
     ([Invalid_input]) on an unknown name.  With [line], the message is
     prefixed ["manifest line N: "], as for every parser below. *)
 
+val method_of_name : string -> tier
+(** The tier of an early-mode method name: [auto], [linear], [int2d] or
+    [polar].  Raises [Invalid_input], naming only those four, on any
+    other name. *)
+
+val check_p : ?line:int -> float -> float
+(** [p] itself when it is a signal probability in [[0, 1]]; raises
+    [Invalid_input] otherwise.  The rule of a manifest's [p] field. *)
+
 val method_selector : tier -> Rgleak_core.Estimate.method_selector
 (** The early-mode estimator of an analytic tier ([auto], [linear],
     [int2d], [polar]).  Raises [Invalid_input] for [exact], [mc] and

@@ -139,10 +139,10 @@ let add_block ?(isa = Auto) acc terms =
 
 let lanes = 8
 
-(* Pure-OCaml mirror of the scalar C kernel, kept as the readable
+(* Pure-OCaml mirror of the C kernel, kept as the readable
    specification of the lane contract and as the bitwise test oracle.
-   Every arithmetic step matches pair_kernel_stubs.c statement for
-   statement. *)
+   Every per-pair arithmetic step matches the stub's interpolation body
+   lane for lane. *)
 let sum_ocaml b ~lo ~hi =
   validate b ~lo ~hi;
   let open Bigarray.Array1 in

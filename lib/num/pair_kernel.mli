@@ -5,17 +5,18 @@
     split into at most [nu] contiguous type segments — and the kernel
     sums, for every pair (a, b) with [lo <= a < hi] and [a < b], the
     linear interpolation of the per-type-pair covariance table at the
-    pair's Euclidean distance.  The C stub allocates nothing and runs
-    SIMD (AVX2 / AVX-512) when the host supports it.
+    pair's Euclidean distance.  The C stub allocates nothing.  Each of
+    its loops is written once over GCC vector types and compiled for
+    the baseline target, AVX2 and AVX-512; the widest the host supports
+    runs.
 
     Determinism contract: within each (row, type segment), pairs are
     consumed in 8-wide blocks with the j-th pair of a block feeding
     lane accumulator j; segment remainders (< 8 pairs) feed a second
     8-lane bank the same way; the result is the in-order sum of
     [lane.(j) +. rem.(j)] for j = 0..7.  All per-pair arithmetic is
-    plain IEEE +, -, *, sqrt with FMA contraction disabled, so scalar,
-    AVX2 and AVX-512 paths — and [sum_ocaml] — return bit-identical
-    results.  The value depends only on the buffer contents and
+    plain IEEE +, -, *, sqrt with FMA contraction disabled, so every
+    target — and [sum_ocaml] — returns bit-identical results.  The value depends only on the buffer contents and
     [lo, hi), never on the job count or the host ISA. *)
 
 type f64 = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -34,6 +35,8 @@ type buffers = {
 }
 
 type isa = Auto | Scalar | Avx2 | Avx512
+(** [Scalar] is the baseline target (SSE2 on x86-64, the only target
+    elsewhere). *)
 
 val isa_name : isa -> string
 
@@ -54,9 +57,9 @@ val sum : ?isa:isa -> buffers -> lo:int -> hi:int -> float
     falls back to [Scalar] (same bits by contract). *)
 
 val sum_ocaml : buffers -> lo:int -> hi:int -> float
-(** Pure-OCaml mirror of the scalar kernel, bit-identical to [sum] by
-    the lane contract.  Test oracle; roughly 3x slower than the C
-    scalar path. *)
+(** Pure-OCaml mirror of the C kernel, bit-identical to [sum] on every
+    ISA by the lane contract.  Test oracle; roughly 3x slower than the
+    C [Scalar] path. *)
 
 val acc_band :
   ?isa:isa -> buffers -> scale:f64 -> acc:Xsum.t -> lo:int -> hi:int -> unit
@@ -87,5 +90,5 @@ val acc_row :
     re-adds it — the O(n) swap update of the delta estimator. *)
 
 val add_block : ?isa:isa -> Xsum.t -> float array -> unit
-(** {!Xsum.add_block} on a forced ISA: the test hook that reaches the
-    scalar, AVX2 and AVX-512 reductions directly. *)
+(** {!Xsum.add_block} on a forced ISA: the test hook that reaches each
+    target's reduction directly. *)

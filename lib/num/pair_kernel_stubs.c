@@ -17,9 +17,14 @@
    - The call's result is sum_{j=0..7} (lane[j] + rem[j]), summed in
      increasing j, each parenthesized exactly like that.
    - Per-pair arithmetic is plain IEEE double +, -, *, sqrt (correctly
-     rounded everywhere), with FMA contraction disabled — so the SSE,
-     AVX2 and AVX-512 code paths produce identical bits and only the
-     instruction count changes.
+     rounded everywhere), with FMA contraction disabled.
+
+   Each loop is written once, over GCC vector types, and stamped out
+   per target by RGLEAK_KERNELS: the baseline target (the only one off
+   x86), AVX2 and AVX-512, picked at run time.  The loops use lane-wise
+   IEEE ops only, so every target produces identical bits and only the
+   instruction count changes.  Intrinsics appear in one place, the
+   per-target table lookup (index clamp plus gather).
 
    Everything the kernel reads lives in caller-owned bigarrays; the
    kernel allocates nothing and never touches the OCaml heap, so calls
@@ -44,306 +49,96 @@
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
 #define RGLEAK_X86_DISPATCH 1
 #include <immintrin.h>
+#define RGLEAK_AVX2 __attribute__((target("avx2")))
+#define RGLEAK_AVX512 __attribute__((target("avx2,avx512f,avx512dq,avx512vl")))
 #else
 #define RGLEAK_X86_DISPATCH 0
 #endif
 
-/* ---------- scalar reference (every platform) ---------- */
+/* ---------- vectors of W lanes: vWd doubles, vWl int64 masks ----------
 
-static double pair_sum_scalar(intnat n, const double *xs, const double *ys,
-                              const intnat *ty, const intnat *seg,
-                              const intnat *base, const double *cov,
-                              intnat nu, double inv_dstep, intnat kmax,
-                              intnat lo, intnat hi)
+   A target uses the width its registers hold; wider ones lower to
+   memory round trips. */
+
+typedef double v2d __attribute__((vector_size(2 * sizeof(double))));
+typedef double v4d __attribute__((vector_size(4 * sizeof(double))));
+typedef double v8d __attribute__((vector_size(8 * sizeof(double))));
+typedef int64_t v2l __attribute__((vector_size(2 * sizeof(int64_t))));
+typedef int64_t v4l __attribute__((vector_size(4 * sizeof(int64_t))));
+typedef int64_t v8l __attribute__((vector_size(8 * sizeof(int64_t))));
+
+#define VD(W) v##W##d
+#define VL(W) v##W##l
+#define LOADV(W, p) ({ VD(W) v_; memcpy(&v_, (p), sizeof v_); v_; })
+#define STOREV(W, p, e) ({ VD(W) v_ = (e); memcpy((p), &v_, sizeof v_); })
+/* m = max(m, |v|) lane-wise, for finite v, on the bit patterns: they
+   order non-negative doubles as int64 */
+#define MAXABS(W, m, v)                                                      \
+  ((m) = ({ VL(W) a_ = (VL(W)) (v) & INT64_MAX, lt_ = (m) < a_;              \
+            ((m) & ~lt_) | (a_ & lt_); }))
+
+typedef struct {
+  const double *xs, *ys, *scale, *cov;
+  const intnat *ty, *seg, *base;
+  intnat nu, kmax;
+  double inv_dstep;
+} pair_geom;
+
+/* p[b .. e), e - b < w, padded with [fill] to w lanes in out */
+static inline const double *pad(double *out, int w, const double *p,
+                                intnat b, intnat e, double fill)
 {
-  double acc[RGLEAK_LANES];
-  double rem[RGLEAK_LANES];
-  intnat a, t, j;
-  memset(acc, 0, sizeof acc);
-  memset(rem, 0, sizeof rem);
-  (void) n;
-  for (a = lo; a < hi; a++) {
-    double xa = xs[a], ya = ys[a];
-    const intnat *rowbase = base + ty[a] * nu;
-    for (t = 0; t < nu; t++) {
-      intnat b = seg[t] > a + 1 ? seg[t] : a + 1;
-      intnat e = seg[t + 1];
-      const double *tbl = cov + rowbase[t];
-      for (; b + RGLEAK_LANES <= e; b += RGLEAK_LANES) {
-        for (j = 0; j < RGLEAK_LANES; j++) {
-          double dx = xs[b + j] - xa, dy = ys[b + j] - ya;
-          double d = sqrt(dx * dx + dy * dy);
-          double pos = d * inv_dstep;
-          intnat k = (intnat) pos;
-          k = k < 0 ? 0 : (k > kmax ? kmax : k);
-          {
-            double t0 = tbl[k], t1 = tbl[k + 1];
-            acc[j] += t0 + (pos - (double) k) * (t1 - t0);
-          }
-        }
-      }
-      for (j = 0; b < e; b++, j++) {
-        double dx = xs[b] - xa, dy = ys[b] - ya;
-        double d = sqrt(dx * dx + dy * dy);
-        double pos = d * inv_dstep;
-        intnat k = (intnat) pos;
-        k = k < 0 ? 0 : (k > kmax ? kmax : k);
-        {
-          double t0 = tbl[k], t1 = tbl[k + 1];
-          rem[j] += t0 + (pos - (double) k) * (t1 - t0);
-        }
-      }
-    }
+  int j;
+  for (j = 0; j < w; j++) out[j] = b + j < e ? p[b + j] : fill;
+  return out;
+}
+
+/* ---------- per-target table lookup ----------
+
+   t0 = tbl[k] and t1 = tbl[k + 1] for each lane's bin position pos,
+   k = trunc(pos) clamped to [0, kmax]; returns k as a double.  The one
+   per-target helper: vector extensions have no gather. */
+
+static inline v2d lookup_portable(const double *tbl, v2d pos, intnat kmax,
+                                  v2d *t0, v2d *t1)
+{
+  v2d kd;
+  int j;
+  for (j = 0; j < 2; j++) {
+    intnat k = (intnat) pos[j];
+    k = k < 0 ? 0 : (k > kmax ? kmax : k);
+    (*t0)[j] = tbl[k];
+    (*t1)[j] = tbl[k + 1];
+    kd[j] = (double) k;
   }
-  {
-    double s = 0.0;
-    for (j = 0; j < RGLEAK_LANES; j++)
-      s += acc[j] + rem[j];
-    return s;
-  }
+  return kd;
 }
 
 #if RGLEAK_X86_DISPATCH
 
-/* ---------- AVX2: 4-wide halves of the same 8-lane contract ---------- */
-
-__attribute__((target("avx2")))
-static double pair_sum_avx2(intnat n, const double *xs, const double *ys,
-                            const intnat *ty, const intnat *seg,
-                            const intnat *base, const double *cov,
-                            intnat nu, double inv_dstep, intnat kmax,
-                            intnat lo, intnat hi)
+RGLEAK_AVX2 static inline v4d lookup_avx2(const double *tbl, v4d pos,
+                                          intnat kmax, v4d *t0, v4d *t1)
 {
-  /* lanes 0-3 / 4-7 of the scalar contract */
-  __m256d accl = _mm256_setzero_pd(), acch = _mm256_setzero_pd();
-  __m256d vinv = _mm256_set1_pd(inv_dstep);
-  __m128i vkmax = _mm_set1_epi32((int) kmax);
-  __m128i vzero = _mm_setzero_si128();
-  double rem[RGLEAK_LANES];
-  intnat a, t, j;
-  memset(rem, 0, sizeof rem);
-  (void) n;
-  for (a = lo; a < hi; a++) {
-    double xa = xs[a], ya = ys[a];
-    const intnat *rowbase = base + ty[a] * nu;
-    __m256d vxa = _mm256_set1_pd(xa), vya = _mm256_set1_pd(ya);
-    for (t = 0; t < nu; t++) {
-      intnat b = seg[t] > a + 1 ? seg[t] : a + 1;
-      intnat e = seg[t + 1];
-      const double *tbl = cov + rowbase[t];
-#define RGLEAK_AVX2_BODY(ACC, BB)                                          \
-      {                                                                    \
-        __m256d dx = _mm256_sub_pd(_mm256_loadu_pd(xs + (BB)), vxa);       \
-        __m256d dy = _mm256_sub_pd(_mm256_loadu_pd(ys + (BB)), vya);       \
-        __m256d d = _mm256_sqrt_pd(                                        \
-            _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)));  \
-        __m256d pos = _mm256_mul_pd(d, vinv);                              \
-        __m128i k = _mm256_cvttpd_epi32(pos);                              \
-        k = _mm_max_epi32(_mm_min_epi32(k, vkmax), vzero);                 \
-        {                                                                  \
-          __m256d t0 = _mm256_i32gather_pd(tbl, k, 8);                     \
-          __m256d t1 = _mm256_i32gather_pd(                                \
-              tbl, _mm_add_epi32(k, _mm_set1_epi32(1)), 8);                \
-          __m256d frac = _mm256_sub_pd(pos, _mm256_cvtepi32_pd(k));        \
-          ACC = _mm256_add_pd(                                             \
-              ACC, _mm256_add_pd(                                          \
-                       t0, _mm256_mul_pd(frac, _mm256_sub_pd(t1, t0))));   \
-        }                                                                  \
-      }
-      for (; b + RGLEAK_LANES <= e; b += RGLEAK_LANES) {
-        RGLEAK_AVX2_BODY(accl, b)
-        RGLEAK_AVX2_BODY(acch, b + 4)
-      }
-#undef RGLEAK_AVX2_BODY
-      for (j = 0; b < e; b++, j++) {
-        double dx = xs[b] - xa, dy = ys[b] - ya;
-        double d = sqrt(dx * dx + dy * dy);
-        double pos = d * inv_dstep;
-        intnat k = (intnat) pos;
-        k = k < 0 ? 0 : (k > kmax ? kmax : k);
-        {
-          double t0 = tbl[k], t1 = tbl[k + 1];
-          rem[j] += t0 + (pos - (double) k) * (t1 - t0);
-        }
-      }
-    }
-  }
-  {
-    double l0[4], l1[4], s = 0.0;
-    _mm256_storeu_pd(l0, accl);
-    _mm256_storeu_pd(l1, acch);
-    for (j = 0; j < 4; j++)
-      s += l0[j] + rem[j];
-    for (j = 0; j < 4; j++)
-      s += l1[j] + rem[4 + j];
-    return s;
-  }
+  __m128i k = _mm256_cvttpd_epi32((__m256d) pos);
+  k = _mm_max_epi32(_mm_min_epi32(k, _mm_set1_epi32((int) kmax)),
+                    _mm_setzero_si128());
+  *t0 = (v4d) _mm256_i32gather_pd(tbl, k, 8);
+  *t1 = (v4d) _mm256_i32gather_pd(tbl + 1, k, 8);
+  return (v4d) _mm256_cvtepi32_pd(k);
 }
 
-/* ---------- AVX-512: one 8-wide block per iteration ---------- */
-
-__attribute__((target("avx2,avx512f,avx512dq,avx512vl")))
-static double pair_sum_avx512(intnat n, const double *xs, const double *ys,
-                              const intnat *ty, const intnat *seg,
-                              const intnat *base, const double *cov,
-                              intnat nu, double inv_dstep, intnat kmax,
-                              intnat lo, intnat hi)
+RGLEAK_AVX512 static inline v8d lookup_avx512(const double *tbl, v8d pos,
+                                              intnat kmax, v8d *t0, v8d *t1)
 {
-  __m512d vacc = _mm512_setzero_pd();
-  __m512d vinv = _mm512_set1_pd(inv_dstep);
-  __m256i vkmax = _mm256_set1_epi32((int) kmax);
-  __m256i vzero = _mm256_setzero_si256();
-  double rem[RGLEAK_LANES];
-  intnat a, t, j;
-  memset(rem, 0, sizeof rem);
-  (void) n;
-  for (a = lo; a < hi; a++) {
-    double xa = xs[a], ya = ys[a];
-    const intnat *rowbase = base + ty[a] * nu;
-    __m512d vxa = _mm512_set1_pd(xa), vya = _mm512_set1_pd(ya);
-    for (t = 0; t < nu; t++) {
-      intnat b = seg[t] > a + 1 ? seg[t] : a + 1;
-      intnat e = seg[t + 1];
-      const double *tbl = cov + rowbase[t];
-      for (; b + RGLEAK_LANES <= e; b += RGLEAK_LANES) {
-        __m512d dx = _mm512_sub_pd(_mm512_loadu_pd(xs + b), vxa);
-        __m512d dy = _mm512_sub_pd(_mm512_loadu_pd(ys + b), vya);
-        __m512d d = _mm512_sqrt_pd(
-            _mm512_add_pd(_mm512_mul_pd(dx, dx), _mm512_mul_pd(dy, dy)));
-        __m512d pos = _mm512_mul_pd(d, vinv);
-        __m256i k = _mm512_cvttpd_epi32(pos);
-        k = _mm256_max_epi32(_mm256_min_epi32(k, vkmax), vzero);
-        {
-          __m512d t0 = _mm512_i32gather_pd(k, tbl, 8);
-          __m512d t1 = _mm512_i32gather_pd(
-              _mm256_add_epi32(k, _mm256_set1_epi32(1)), tbl, 8);
-          __m512d frac = _mm512_sub_pd(pos, _mm512_cvtepi32_pd(k));
-          vacc = _mm512_add_pd(
-              vacc,
-              _mm512_add_pd(t0, _mm512_mul_pd(frac, _mm512_sub_pd(t1, t0))));
-        }
-      }
-      for (j = 0; b < e; b++, j++) {
-        double dx = xs[b] - xa, dy = ys[b] - ya;
-        double d = sqrt(dx * dx + dy * dy);
-        double pos = d * inv_dstep;
-        intnat k = (intnat) pos;
-        k = k < 0 ? 0 : (k > kmax ? kmax : k);
-        {
-          double t0 = tbl[k], t1 = tbl[k + 1];
-          rem[j] += t0 + (pos - (double) k) * (t1 - t0);
-        }
-      }
-    }
-  }
-  {
-    double lane[RGLEAK_LANES], s = 0.0;
-    _mm512_storeu_pd(lane, vacc);
-    for (j = 0; j < RGLEAK_LANES; j++)
-      s += lane[j] + rem[j];
-    return s;
-  }
+  __m256i k = _mm512_cvttpd_epi32((__m512d) pos);
+  k = _mm256_max_epi32(_mm256_min_epi32(k, _mm256_set1_epi32((int) kmax)),
+                       _mm256_setzero_si256());
+  *t0 = (v8d) _mm512_i32gather_pd(k, tbl, 8);
+  *t1 = (v8d) _mm512_i32gather_pd(k, tbl + 1, 8);
+  return (v8d) _mm512_cvtepi32_pd(k);
 }
 
 #endif /* RGLEAK_X86_DISPATCH */
-
-/* ---------- dispatch ---------- */
-
-static int isa_supported(int isa)
-{
-  switch (isa) {
-  case RGLEAK_ISA_SCALAR:
-    return 1;
-#if RGLEAK_X86_DISPATCH
-  case RGLEAK_ISA_AVX2:
-    return __builtin_cpu_supports("avx2") != 0;
-  case RGLEAK_ISA_AVX512:
-    return __builtin_cpu_supports("avx512f")
-           && __builtin_cpu_supports("avx512dq")
-           && __builtin_cpu_supports("avx512vl");
-#endif
-  default:
-    return 0;
-  }
-}
-
-static int best_isa(void)
-{
-  /* Idempotent, so the unsynchronized cache is benign across domains. */
-  static int cached = 0;
-  int isa = cached;
-  if (isa == 0) {
-    isa = RGLEAK_ISA_SCALAR;
-    if (isa_supported(RGLEAK_ISA_AVX2)) isa = RGLEAK_ISA_AVX2;
-    if (isa_supported(RGLEAK_ISA_AVX512)) isa = RGLEAK_ISA_AVX512;
-    cached = isa;
-  }
-  return isa;
-}
-
-/* The ISA a request runs on: Auto means the best one, and an
-   unsupported request falls back to scalar (same bits by contract). */
-static int pick_isa(int isa)
-{
-  if (isa == RGLEAK_ISA_AUTO) isa = best_isa();
-  return isa_supported(isa) ? isa : RGLEAK_ISA_SCALAR;
-}
-
-CAMLprim value rgleak_pair_isa_supported(value visa)
-{
-  return Val_bool(isa_supported(Int_val(visa)));
-}
-
-CAMLprim value rgleak_pair_best_isa(value unit)
-{
-  (void) unit;
-  return Val_int(best_isa());
-}
-
-CAMLprim value rgleak_pair_sum(value vxs, value vys, value vty, value vseg,
-                               value vbase, value vcov, value vnu,
-                               value vinv, value vkmax, value vlo, value vhi,
-                               value visa)
-{
-  const double *xs = (const double *) Caml_ba_data_val(vxs);
-  const double *ys = (const double *) Caml_ba_data_val(vys);
-  const intnat *ty = (const intnat *) Caml_ba_data_val(vty);
-  const intnat *seg = (const intnat *) Caml_ba_data_val(vseg);
-  const intnat *base = (const intnat *) Caml_ba_data_val(vbase);
-  const double *cov = (const double *) Caml_ba_data_val(vcov);
-  intnat n = Caml_ba_array_val(vxs)->dim[0];
-  intnat nu = Long_val(vnu);
-  double inv_dstep = Double_val(vinv);
-  intnat kmax = Long_val(vkmax);
-  intnat lo = Long_val(vlo);
-  intnat hi = Long_val(vhi);
-  double s;
-  switch (pick_isa(Int_val(visa))) {
-#if RGLEAK_X86_DISPATCH
-  case RGLEAK_ISA_AVX2:
-    s = pair_sum_avx2(n, xs, ys, ty, seg, base, cov, nu, inv_dstep, kmax,
-                      lo, hi);
-    break;
-  case RGLEAK_ISA_AVX512:
-    s = pair_sum_avx512(n, xs, ys, ty, seg, base, cov, nu, inv_dstep, kmax,
-                        lo, hi);
-    break;
-#endif
-  default:
-    s = pair_sum_scalar(n, xs, ys, ty, seg, base, cov, nu, inv_dstep, kmax,
-                        lo, hi);
-    break;
-  }
-  return caml_copy_double(s);
-}
-
-CAMLprim value rgleak_pair_sum_bc(value *argv, int argn)
-{
-  (void) argn;
-  return rgleak_pair_sum(argv[0], argv[1], argv[2], argv[3], argv[4],
-                         argv[5], argv[6], argv[7], argv[8], argv[9],
-                         argv[10], argv[11]);
-}
 
 /* ---------- exact fixed-point accumulator (Xsum) ----------
 
@@ -527,295 +322,261 @@ static inline double xb_sigma(double mx)
   return b.d;
 }
 
-/* Zero the non-finite entries of p[0..n), counting them into *poison,
-   and return the largest remaining |p_i|. */
-static double xb_scan_scalar(double *p, intnat n, int64_t *poison)
-{
-  double mx = 0.0;
-  intnat i;
-  for (i = 0; i < n; i++) {
-    double a = fabs(p[i]);
-    if (!(a <= DBL_MAX)) {
-      p[i] = 0.0;
-      *poison += 1;
-    } else if (a > mx)
-      mx = a;
-  }
-  return mx;
-}
-
-/* One extraction level: p <- p - q, *tau = sum q; returns max |p|. */
-static double xb_level_scalar(double *p, intnat n, double sigma, double *tau)
-{
-  double t = 0.0, mx = 0.0;
-  intnat i;
-  for (i = 0; i < n; i++) {
-    double q = (sigma + p[i]) - sigma;
-    double r = fabs(p[i] -= q);
-    t += q;
-    if (r > mx) mx = r;
-  }
-  *tau = t;
-  return mx;
-}
-
-/* The interpolated covariance of pair (row at (xa, ya), b), weighted
-   (sa * scale[b]) * w — the per-pair arithmetic of the summing kernel,
-   shared by every ISA's scalar remainder. */
-typedef struct {
-  const double *xs, *ys, *scale, *cov;
-  const intnat *ty, *seg, *base;
-  intnat nu, kmax;
-  double inv_dstep;
-} pair_geom;
-
-static inline double pair_term(const pair_geom *g, const double *tbl,
-                               double xa, double ya, double sa, intnat b)
-{
-  double dx = g->xs[b] - xa, dy = g->ys[b] - ya;
-  double d = sqrt(dx * dx + dy * dy);
-  double pos = d * g->inv_dstep;
-  intnat k = (intnat) pos;
-  double t0, t1;
-  k = k < 0 ? 0 : (k > g->kmax ? g->kmax : k);
-  t0 = tbl[k];
-  t1 = tbl[k + 1];
-  return (sa * g->scale[b]) * (t0 + (pos - (double) k) * (t1 - t0));
-}
-
-/* Terms of partners [b, e) of one row against one type table, written
-   to out[0 .. e-b). */
-static void terms_scalar(const pair_geom *g, const double *tbl, double xa,
-                         double ya, double sa, intnat b, intnat e,
-                         double *out)
-{
-  for (; b < e; b++) *out++ = pair_term(g, tbl, xa, ya, sa, b);
-}
-
-#if RGLEAK_X86_DISPATCH
-
-__attribute__((target("avx2")))
-static void terms_avx2(const pair_geom *g, const double *tbl, double xa,
-                       double ya, double sa, intnat b, intnat e, double *out)
-{
-  __m256d vxa = _mm256_set1_pd(xa), vya = _mm256_set1_pd(ya);
-  __m256d vsa = _mm256_set1_pd(sa), vinv = _mm256_set1_pd(g->inv_dstep);
-  __m128i vkmax = _mm_set1_epi32((int) g->kmax);
-  __m128i vzero = _mm_setzero_si128(), vone = _mm_set1_epi32(1);
-  for (; b + 4 <= e; b += 4, out += 4) {
-    __m256d dx = _mm256_sub_pd(_mm256_loadu_pd(g->xs + b), vxa);
-    __m256d dy = _mm256_sub_pd(_mm256_loadu_pd(g->ys + b), vya);
-    __m256d d = _mm256_sqrt_pd(
-        _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)));
-    __m256d pos = _mm256_mul_pd(d, vinv);
-    __m128i k = _mm256_cvttpd_epi32(pos);
-    k = _mm_max_epi32(_mm_min_epi32(k, vkmax), vzero);
-    {
-      __m256d t0 = _mm256_i32gather_pd(tbl, k, 8);
-      __m256d t1 = _mm256_i32gather_pd(tbl, _mm_add_epi32(k, vone), 8);
-      __m256d frac = _mm256_sub_pd(pos, _mm256_cvtepi32_pd(k));
-      __m256d w =
-          _mm256_add_pd(t0, _mm256_mul_pd(frac, _mm256_sub_pd(t1, t0)));
-      __m256d s = _mm256_mul_pd(vsa, _mm256_loadu_pd(g->scale + b));
-      _mm256_storeu_pd(out, _mm256_mul_pd(s, w));
-    }
-  }
-  terms_scalar(g, tbl, xa, ya, sa, b, e, out);
-}
-
-__attribute__((target("avx2")))
-static double xb_scan_avx2(double *p, intnat n, int64_t *poison)
-{
-  __m256d vabs = _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
-  __m256d vbig = _mm256_set1_pd(DBL_MAX), vmx = _mm256_setzero_pd();
-  double m[4];
-  intnat i;
-  int bad = 0;
-  for (i = 0; i < n; i += 4) {
-    __m256d v = _mm256_loadu_pd(p + i);
-    __m256d a = _mm256_and_pd(v, vabs);
-    __m256d ok = _mm256_cmp_pd(a, vbig, _CMP_LE_OQ); /* false on NaN, Inf */
-    bad += 4 - __builtin_popcount(_mm256_movemask_pd(ok));
-    _mm256_storeu_pd(p + i, _mm256_and_pd(v, ok));
-    vmx = _mm256_max_pd(vmx, _mm256_and_pd(a, ok));
-  }
-  *poison += bad;
-  _mm256_storeu_pd(m, vmx);
-  return fmax(fmax(m[0], m[1]), fmax(m[2], m[3]));
-}
-
-__attribute__((target("avx2")))
-static double xb_level_avx2(double *p, intnat n, double sigma, double *tau)
-{
-  __m256d vabs = _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
-  __m256d vs = _mm256_set1_pd(sigma);
-  __m256d vt = _mm256_setzero_pd(), vmx = _mm256_setzero_pd();
-  double t[4], m[4];
-  intnat i;
-  for (i = 0; i < n; i += 4) {
-    __m256d v = _mm256_loadu_pd(p + i);
-    __m256d q = _mm256_sub_pd(_mm256_add_pd(vs, v), vs);
-    v = _mm256_sub_pd(v, q);
-    _mm256_storeu_pd(p + i, v);
-    vt = _mm256_add_pd(vt, q);
-    vmx = _mm256_max_pd(vmx, _mm256_and_pd(v, vabs));
-  }
-  _mm256_storeu_pd(t, vt);
-  _mm256_storeu_pd(m, vmx);
-  *tau = (t[0] + t[1]) + (t[2] + t[3]);
-  return fmax(fmax(m[0], m[1]), fmax(m[2], m[3]));
-}
-
-__attribute__((target("avx2,avx512f,avx512dq,avx512vl")))
-static void terms_avx512(const pair_geom *g, const double *tbl, double xa,
-                         double ya, double sa, intnat b, intnat e,
-                         double *out)
-{
-  __m512d vxa = _mm512_set1_pd(xa), vya = _mm512_set1_pd(ya);
-  __m512d vsa = _mm512_set1_pd(sa), vinv = _mm512_set1_pd(g->inv_dstep);
-  __m256i vkmax = _mm256_set1_epi32((int) g->kmax);
-  __m256i vzero = _mm256_setzero_si256(), vone = _mm256_set1_epi32(1);
-  for (; b + 8 <= e; b += 8, out += 8) {
-    __m512d dx = _mm512_sub_pd(_mm512_loadu_pd(g->xs + b), vxa);
-    __m512d dy = _mm512_sub_pd(_mm512_loadu_pd(g->ys + b), vya);
-    __m512d d = _mm512_sqrt_pd(
-        _mm512_add_pd(_mm512_mul_pd(dx, dx), _mm512_mul_pd(dy, dy)));
-    __m512d pos = _mm512_mul_pd(d, vinv);
-    __m256i k = _mm512_cvttpd_epi32(pos);
-    k = _mm256_max_epi32(_mm256_min_epi32(k, vkmax), vzero);
-    {
-      __m512d t0 = _mm512_i32gather_pd(k, tbl, 8);
-      __m512d t1 = _mm512_i32gather_pd(_mm256_add_epi32(k, vone), tbl, 8);
-      __m512d frac = _mm512_sub_pd(pos, _mm512_cvtepi32_pd(k));
-      __m512d w =
-          _mm512_add_pd(t0, _mm512_mul_pd(frac, _mm512_sub_pd(t1, t0)));
-      __m512d s = _mm512_mul_pd(vsa, _mm512_loadu_pd(g->scale + b));
-      _mm512_storeu_pd(out, _mm512_mul_pd(s, w));
-    }
-  }
-  terms_scalar(g, tbl, xa, ya, sa, b, e, out);
-}
-
-__attribute__((target("avx2,avx512f,avx512dq,avx512vl")))
-static double xb_scan_avx512(double *p, intnat n, int64_t *poison)
-{
-  __m512d vbig = _mm512_set1_pd(DBL_MAX), vmx = _mm512_setzero_pd();
-  intnat i;
-  int bad = 0;
-  for (i = 0; i < n; i += 8) {
-    __m512d v = _mm512_loadu_pd(p + i);
-    __m512d a = _mm512_abs_pd(v);
-    /* false on NaN and Inf */
-    __mmask8 ok = _mm512_cmp_pd_mask(a, vbig, _CMP_LE_OQ);
-    bad += 8 - __builtin_popcount(ok);
-    _mm512_storeu_pd(p + i, _mm512_maskz_mov_pd(ok, v));
-    vmx = _mm512_max_pd(vmx, _mm512_maskz_mov_pd(ok, a));
-  }
-  *poison += bad;
-  return _mm512_reduce_max_pd(vmx);
-}
-
-__attribute__((target("avx2,avx512f,avx512dq,avx512vl")))
-static double xb_level_avx512(double *p, intnat n, double sigma, double *tau)
-{
-  __m512d vs = _mm512_set1_pd(sigma);
-  __m512d vt = _mm512_setzero_pd(), vmx = _mm512_setzero_pd();
-  intnat i;
-  for (i = 0; i < n; i += 8) {
-    __m512d v = _mm512_loadu_pd(p + i);
-    __m512d q = _mm512_sub_pd(_mm512_add_pd(vs, v), vs);
-    v = _mm512_sub_pd(v, q);
-    _mm512_storeu_pd(p + i, v);
-    vt = _mm512_add_pd(vt, q);
-    vmx = _mm512_max_pd(vmx, _mm512_abs_pd(v));
-  }
-  *tau = _mm512_reduce_add_pd(vt);
-  return _mm512_reduce_max_pd(vmx);
-}
-
-#endif /* RGLEAK_X86_DISPATCH */
-
-typedef struct {
-  void (*terms)(const pair_geom *, const double *, double, double, double,
-                intnat, intnat, double *);
-  double (*scan)(double *, intnat, int64_t *);
-  double (*level)(double *, intnat, double, double *);
-} xb_ops;
-
 typedef struct {
   int64_t *acc;
-  xb_ops ops;
-  intnat n;
   double p[XB_CAP];
 } xblock;
 
-static void xb_init(xblock *xb, int64_t *acc, int isa)
+/* ---------- the loops, stamped out per target ----------
+
+   RGLEAK_KERNELS(NAME, TARGET, W, LOOKUP) defines one target's kernels
+   on vectors of W lanes (W divides 8), all compiled for that target, so
+   vectors pass by value without the ABI depending on the target:
+   - interp_NAME: the interpolated covariance of the row cell at
+     (xa, ya) with the W cells at (x[j], y[j]);
+   - sum_NAME: rows [lo, hi) under the lane contract, an 8-pair block
+     being 8 / W vectors;
+   - flush_NAME: reduce p[0 .. n) exactly into the accumulator: the scan
+     (zero and count the non-finite entries, find max |p|), then the
+     extraction levels;
+   - partners_NAME: stage the terms (sa * scale[b]) * w of partners
+     [b, e) of one row from p[n] on, flushing whenever the next W might
+     not fit; returns the new n. */
+
+#define RGLEAK_KERNELS(NAME, TARGET, W, LOOKUP)                               \
+  TARGET static inline __attribute__((always_inline)) VD(W) interp_##NAME(    \
+      const double *tbl, double inv_dstep, intnat kmax, double xa, double ya, \
+      const double *x, const double *y)                                       \
+  {                                                                           \
+    VD(W) dx = LOADV(W, x) - xa, dy = LOADV(W, y) - ya, pos, t0, t1, k;       \
+    VD(W) d = dx * dx + dy * dy;                                              \
+    int j;                                                                    \
+    for (j = 0; j < W; j++) d[j] = sqrt(d[j]);                                \
+    pos = d * inv_dstep;                                                      \
+    k = LOOKUP(tbl, pos, kmax, &t0, &t1);                                     \
+    return t0 + (pos - k) * (t1 - t0);                                        \
+  }                                                                           \
+                                                                              \
+  TARGET static double sum_##NAME(const pair_geom *g, intnat lo, intnat hi)   \
+  {                                                                           \
+    VD(W) acc[RGLEAK_LANES / W] = { 0 };                                      \
+    double s = 0.0, rem[RGLEAK_LANES] = { 0 }, l[RGLEAK_LANES];               \
+    double px[RGLEAK_LANES], py[RGLEAK_LANES];                                \
+    intnat a, t, h;                                                           \
+    for (a = lo; a < hi; a++) {                                               \
+      double xa = g->xs[a], ya = g->ys[a];                                    \
+      const intnat *rowbase = g->base + g->ty[a] * g->nu;                     \
+      for (t = 0; t < g->nu; t++) {                                           \
+        intnat b = g->seg[t] > a + 1 ? g->seg[t] : a + 1;                     \
+        intnat e = g->seg[t + 1];                                             \
+        const double *tbl = g->cov + rowbase[t];                              \
+        for (; b + RGLEAK_LANES <= e; b += RGLEAK_LANES)                      \
+          _Pragma("GCC unroll 8") /* keeps acc in registers */                \
+          for (h = 0; h < RGLEAK_LANES / W; h++)                              \
+            acc[h] += interp_##NAME(tbl, g->inv_dstep, g->kmax, xa, ya,       \
+                                    g->xs + b + h * W, g->ys + b + h * W);    \
+        if (b < e) {                                                          \
+          pad(px, RGLEAK_LANES, g->xs, b, e, xa);                             \
+          pad(py, RGLEAK_LANES, g->ys, b, e, ya);                             \
+          for (h = 0; h < RGLEAK_LANES / W; h++)                              \
+            STOREV(W, l + h * W,                                              \
+                   interp_##NAME(tbl, g->inv_dstep, g->kmax, xa, ya,          \
+                                 px + h * W, py + h * W));                    \
+          for (h = 0; b + h < e; h++) rem[h] += l[h];                         \
+        }                                                                     \
+      }                                                                       \
+    }                                                                         \
+    memcpy(l, acc, sizeof l);                                                 \
+    for (h = 0; h < RGLEAK_LANES; h++) s += l[h] + rem[h];                    \
+    return s;                                                                 \
+  }                                                                           \
+                                                                              \
+  TARGET static void flush_##NAME(xblock *xb, intnat n)                       \
+  {                                                                           \
+    double *p = xb->p, l[RGLEAK_LANES], m, sigma;                             \
+    intnat i, h;                                                              \
+    VD(W) v, q, tau[RGLEAK_LANES / W];                                        \
+    VL(W) ok, bad = { 0 }, mx[RGLEAK_LANES / W] = { 0 };                      \
+    while (n % RGLEAK_LANES != 0) p[n++] = 0.0; /* zeros extract to 0 */     \
+    for (i = 0; i < n; i += RGLEAK_LANES)                                     \
+      for (h = 0; h < RGLEAK_LANES / W; h++) {                                \
+        v = LOADV(W, p + i + h * W);                                          \
+        ok = ((VL(W)) v & INT64_MAX) < 0x7ff0000000000000LL; /* below Inf */ \
+        bad += ok + 1;                                                        \
+        v = (VD(W)) ((VL(W)) v & ok);                                         \
+        STOREV(W, p + i + h * W, v);                                          \
+        MAXABS(W, mx[h], v);                                                  \
+      }                                                                       \
+    for (h = 0; h < W; h++) xb->acc[XS_LIMBS] += bad[h];                      \
+    for (;;) {                                                                \
+      memcpy(l, mx, sizeof l); /* the bit patterns of the lanes' max |p| */   \
+      for (m = 0.0, h = 0; h < RGLEAK_LANES; h++) m = l[h] > m ? l[h] : m;    \
+      if (m == 0.0) break;                                                    \
+      if (m >= XB_HI || m < XB_LO) {                                          \
+        for (i = 0; i < n; i++) xs_add1(xb->acc, p[i]);                       \
+        break;                                                                \
+      }                                                                       \
+      sigma = xb_sigma(m);                                                    \
+      memset(tau, 0, sizeof tau);                                             \
+      memset(mx, 0, sizeof mx);                                               \
+      for (i = 0; i < n; i += RGLEAK_LANES)                                   \
+        for (h = 0; h < RGLEAK_LANES / W; h++) {                              \
+          v = LOADV(W, p + i + h * W);                                        \
+          q = (sigma + v) - sigma;                                            \
+          v -= q;                                                             \
+          STOREV(W, p + i + h * W, v);                                        \
+          tau[h] += q;                                                        \
+          MAXABS(W, mx[h], v);                                                \
+        }                                                                     \
+      memcpy(l, tau, sizeof l);                                               \
+      for (m = 0.0, h = 0; h < RGLEAK_LANES; h++) m += l[h]; /* exact */      \
+      xs_add1(xb->acc, m);                                                    \
+    }                                                                         \
+  }                                                                           \
+                                                                              \
+  TARGET static intnat partners_##NAME(xblock *xb, intnat n,                  \
+                                       const pair_geom *g, const double *tbl, \
+                                       double xa, double ya, double sa,       \
+                                       intnat b, intnat e)                    \
+  {                                                                           \
+    const double *xs = g->xs, *ys = g->ys, *scale = g->scale, *x, *y, *sc;    \
+    double inv_dstep = g->inv_dstep, px[W], py[W], ps[W];                     \
+    intnat kmax = g->kmax;                                                    \
+    for (; b < e; b += W) {                                                   \
+      x = xs + b, y = ys + b, sc = scale + b;                                 \
+      if (b + W > e) {                                                        \
+        x = pad(px, W, xs, b, e, xa);                                         \
+        y = pad(py, W, ys, b, e, ya);                                         \
+        sc = pad(ps, W, scale, b, e, 0.0);                                    \
+      }                                                                       \
+      STOREV(W, xb->p + n, (sa * LOADV(W, sc))                                \
+                               * interp_##NAME(tbl, inv_dstep, kmax, xa, ya,  \
+                                               x, y));                        \
+      n += e - b < W ? e - b : W;                                             \
+      if (n > XB_CAP - W) {                                                   \
+        flush_##NAME(xb, n);                                                  \
+        n = 0;                                                                \
+      }                                                                       \
+    }                                                                         \
+    return n;                                                                 \
+  }                                                                           \
+                                                                              \
+  static const kernels kernels_##NAME = { sum_##NAME, partners_##NAME,        \
+                                          flush_##NAME };
+
+typedef struct {
+  double (*sum)(const pair_geom *, intnat, intnat);
+  intnat (*partners)(xblock *, intnat, const pair_geom *, const double *,
+                     double, double, double, intnat, intnat);
+  void (*flush)(xblock *, intnat);
+} kernels;
+
+RGLEAK_KERNELS(portable, , 2, lookup_portable)
+#if RGLEAK_X86_DISPATCH
+RGLEAK_KERNELS(avx2, RGLEAK_AVX2, 4, lookup_avx2)
+RGLEAK_KERNELS(avx512, RGLEAK_AVX512, 8, lookup_avx512)
+#endif
+
+static int isa_supported(int isa)
 {
-  xb->acc = acc;
-  xb->n = 0;
-  xb->ops.terms = terms_scalar;
-  xb->ops.scan = xb_scan_scalar;
-  xb->ops.level = xb_level_scalar;
-  switch (pick_isa(isa)) {
+  switch (isa) {
+  case RGLEAK_ISA_SCALAR:
+    return 1;
 #if RGLEAK_X86_DISPATCH
   case RGLEAK_ISA_AVX2:
-    xb->ops.terms = terms_avx2;
-    xb->ops.scan = xb_scan_avx2;
-    xb->ops.level = xb_level_avx2;
-    break;
+    return __builtin_cpu_supports("avx2") != 0;
   case RGLEAK_ISA_AVX512:
-    xb->ops.terms = terms_avx512;
-    xb->ops.scan = xb_scan_avx512;
-    xb->ops.level = xb_level_avx512;
-    break;
+    return __builtin_cpu_supports("avx512f")
+           && __builtin_cpu_supports("avx512dq")
+           && __builtin_cpu_supports("avx512vl");
 #endif
   default:
-    break;
+    return 0;
   }
 }
 
-/* Reduce the staged block exactly into the accumulator and empty it. */
-static void xb_flush(xblock *xb)
+static int best_isa(void)
 {
-  double *p = xb->p;
-  intnat n = xb->n, i;
-  double mx, tau;
-  while (n % 8 != 0) p[n++] = 0.0; /* whole vectors; zeros extract to 0 */
-  mx = xb->ops.scan(p, n, xb->acc + XS_LIMBS);
-  while (mx != 0.0) {
-    if (mx >= XB_HI || mx < XB_LO) {
-      for (i = 0; i < n; i++) xs_add1(xb->acc, p[i]);
-      break;
-    }
-    mx = xb->ops.level(p, n, xb_sigma(mx), &tau);
-    xs_add1(xb->acc, tau);
+  /* Idempotent, so the unsynchronized cache is benign across domains. */
+  static int cached = 0;
+  int isa = cached;
+  if (isa == 0) {
+    isa = RGLEAK_ISA_SCALAR;
+    if (isa_supported(RGLEAK_ISA_AVX2)) isa = RGLEAK_ISA_AVX2;
+    if (isa_supported(RGLEAK_ISA_AVX512)) isa = RGLEAK_ISA_AVX512;
+    cached = isa;
   }
-  xb->n = 0;
+  return isa;
 }
 
-/* Stage the terms of partners [b, e) of one row, flushing full blocks. */
-static void xb_partners(xblock *xb, const pair_geom *g, const double *tbl,
-                        double xa, double ya, double sa, intnat b, intnat e)
+/* The kernels a request runs on: Auto means the best ISA, and an
+   unsupported request falls back to scalar (same bits by contract). */
+static const kernels *pick_isa(int isa)
 {
-  while (b < e) {
-    intnat m = XB_CAP - xb->n;
-    if (m > e - b) m = e - b;
-    xb->ops.terms(g, tbl, xa, ya, sa, b, b + m, xb->p + xb->n);
-    xb->n += m;
-    b += m;
-    if (xb->n == XB_CAP) xb_flush(xb);
-  }
+  if (isa == RGLEAK_ISA_AUTO) isa = best_isa();
+#if RGLEAK_X86_DISPATCH
+  if (isa == RGLEAK_ISA_AVX2 && isa_supported(isa)) return &kernels_avx2;
+  if (isa == RGLEAK_ISA_AVX512 && isa_supported(isa)) return &kernels_avx512;
+#endif
+  return &kernels_portable;
+}
+
+CAMLprim value rgleak_pair_isa_supported(value visa)
+{
+  return Val_bool(isa_supported(Int_val(visa)));
+}
+
+CAMLprim value rgleak_pair_best_isa(value unit)
+{
+  (void) unit;
+  return Val_int(best_isa());
+}
+
+static void geom_of(pair_geom *g, value vxs, value vys, value vty, value vseg,
+                    value vbase, value vcov, const double *scale, value vnu,
+                    value vinv, value vkmax)
+{
+  g->xs = (const double *) Caml_ba_data_val(vxs);
+  g->ys = (const double *) Caml_ba_data_val(vys);
+  g->ty = (const intnat *) Caml_ba_data_val(vty);
+  g->seg = (const intnat *) Caml_ba_data_val(vseg);
+  g->base = (const intnat *) Caml_ba_data_val(vbase);
+  g->cov = (const double *) Caml_ba_data_val(vcov);
+  g->scale = scale;
+  g->nu = Long_val(vnu);
+  g->inv_dstep = Double_val(vinv);
+  g->kmax = Long_val(vkmax);
+}
+
+CAMLprim value rgleak_pair_sum(value vxs, value vys, value vty, value vseg,
+                               value vbase, value vcov, value vnu,
+                               value vinv, value vkmax, value vlo, value vhi,
+                               value visa)
+{
+  pair_geom g;
+  geom_of(&g, vxs, vys, vty, vseg, vbase, vcov, NULL, vnu, vinv, vkmax);
+  return caml_copy_double(
+      pick_isa(Int_val(visa))->sum(&g, Long_val(vlo), Long_val(vhi)));
+}
+
+CAMLprim value rgleak_pair_sum_bc(value *argv, int argn)
+{
+  (void) argn;
+  return rgleak_pair_sum(argv[0], argv[1], argv[2], argv[3], argv[4],
+                         argv[5], argv[6], argv[7], argv[8], argv[9],
+                         argv[10], argv[11]);
 }
 
 CAMLprim value rgleak_xsum_add_block(value vacc, value vterms, value visa)
 {
+  const kernels *k = pick_isa(Int_val(visa));
   xblock xb;
-  intnat len = Wosize_val(vterms) / Double_wosize, i = 0;
-  xb_init(&xb, (int64_t *) Caml_ba_data_val(vacc), Int_val(visa));
+  intnat len = Wosize_val(vterms) / Double_wosize, i = 0, n;
+  xb.acc = (int64_t *) Caml_ba_data_val(vacc);
   while (i < len) {
-    for (; i < len && xb.n < XB_CAP; i++)
-      xb.p[xb.n++] = Double_flat_field(vterms, i);
-    xb_flush(&xb);
+    for (n = 0; i < len && n < XB_CAP; i++)
+      xb.p[n++] = Double_flat_field(vterms, i);
+    k->flush(&xb, n);
   }
   return Val_unit;
 }
@@ -837,39 +598,26 @@ CAMLprim value rgleak_xsum_add_block(value vacc, value vterms, value visa)
    is symmetric, the type-pair table offsets are symmetric by
    construction, and IEEE multiplication commutes. */
 
-static void geom_of(pair_geom *g, value vxs, value vys, value vty, value vseg,
-                    value vbase, value vcov, value vscale, value vnu,
-                    value vinv, value vkmax)
-{
-  g->xs = (const double *) Caml_ba_data_val(vxs);
-  g->ys = (const double *) Caml_ba_data_val(vys);
-  g->ty = (const intnat *) Caml_ba_data_val(vty);
-  g->seg = (const intnat *) Caml_ba_data_val(vseg);
-  g->base = (const intnat *) Caml_ba_data_val(vbase);
-  g->cov = (const double *) Caml_ba_data_val(vcov);
-  g->scale = (const double *) Caml_ba_data_val(vscale);
-  g->nu = Long_val(vnu);
-  g->inv_dstep = Double_val(vinv);
-  g->kmax = Long_val(vkmax);
-}
-
 CAMLprim value rgleak_pair_acc(value vxs, value vys, value vty, value vseg,
                                value vbase, value vcov, value vscale,
                                value vacc, value vnu, value vinv,
                                value vkmax, value vlo, value vhi, value visa)
 {
+  const kernels *k = pick_isa(Int_val(visa));
   pair_geom g;
   xblock xb;
-  intnat a, t, hi = Long_val(vhi);
-  geom_of(&g, vxs, vys, vty, vseg, vbase, vcov, vscale, vnu, vinv, vkmax);
-  xb_init(&xb, (int64_t *) Caml_ba_data_val(vacc), Int_val(visa));
+  intnat a, t, hi = Long_val(vhi), n = 0;
+  geom_of(&g, vxs, vys, vty, vseg, vbase, vcov,
+          (const double *) Caml_ba_data_val(vscale), vnu, vinv, vkmax);
+  xb.acc = (int64_t *) Caml_ba_data_val(vacc);
   for (a = Long_val(vlo); a < hi; a++) {
     const intnat *rowbase = g.base + g.ty[a] * g.nu;
     for (t = 0; t < g.nu; t++)
-      xb_partners(&xb, &g, g.cov + rowbase[t], g.xs[a], g.ys[a], g.scale[a],
-                  g.seg[t] > a + 1 ? g.seg[t] : a + 1, g.seg[t + 1]);
+      n = k->partners(&xb, n, &g, g.cov + rowbase[t], g.xs[a], g.ys[a],
+                      g.scale[a], g.seg[t] > a + 1 ? g.seg[t] : a + 1,
+                      g.seg[t + 1]);
   }
-  xb_flush(&xb);
+  k->flush(&xb, n);
   return Val_unit;
 }
 
@@ -887,24 +635,24 @@ CAMLprim value rgleak_pair_acc_row(value vxs, value vys, value vty,
                                    value vinv, value vkmax, value vrow,
                                    value vsrow, value visa)
 {
+  const kernels *k = pick_isa(Int_val(visa));
   pair_geom g;
   xblock xb;
-  intnat t, c = Long_val(vrow);
+  intnat t, c = Long_val(vrow), n = 0;
   double sc = Double_val(vsrow);
-  const intnat *rowbase;
-  geom_of(&g, vxs, vys, vty, vseg, vbase, vcov, vscale, vnu, vinv, vkmax);
-  xb_init(&xb, (int64_t *) Caml_ba_data_val(vacc), Int_val(visa));
-  rowbase = g.base + g.ty[c] * g.nu;
+  geom_of(&g, vxs, vys, vty, vseg, vbase, vcov,
+          (const double *) Caml_ba_data_val(vscale), vnu, vinv, vkmax);
+  xb.acc = (int64_t *) Caml_ba_data_val(vacc);
   for (t = 0; t < g.nu; t++) {
-    const double *tbl = g.cov + rowbase[t];
+    const double *tbl = g.cov + g.base[g.ty[c] * g.nu + t];
     intnat s = g.seg[t], e = g.seg[t + 1];
     if (c >= s && c < e) { /* skip the row itself */
-      xb_partners(&xb, &g, tbl, g.xs[c], g.ys[c], sc, s, c);
+      n = k->partners(&xb, n, &g, tbl, g.xs[c], g.ys[c], sc, s, c);
       s = c + 1;
     }
-    xb_partners(&xb, &g, tbl, g.xs[c], g.ys[c], sc, s, e);
+    n = k->partners(&xb, n, &g, tbl, g.xs[c], g.ys[c], sc, s, e);
   }
-  xb_flush(&xb);
+  k->flush(&xb, n);
   return Val_unit;
 }
 

@@ -429,12 +429,6 @@ let to_json r =
       ("points", Json.Arr (List.map point_json r.point_reports));
     ]
 
-let write_json ~path r =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (Json.to_string ~indent:2 (to_json r)))
-
 (* ---------- human-readable table (the paper's Tables 1-2 shape) ---------- *)
 
 let pp_report fmt r =

@@ -120,8 +120,5 @@ val to_json : report -> Rgleak_obs.Json.t
 (** The [rgleak-validate/1] document; deterministic member order, no
     timestamps. *)
 
-val write_json : path:string -> report -> unit
-(** {!to_json} pretty-printed (2-space indent) to [path]. *)
-
 val pp_report : Format.formatter -> report -> unit
 (** Human-readable per-point tables. *)

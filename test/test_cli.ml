@@ -34,8 +34,6 @@ let contains hay needle =
 
 (* invalid input exits 2, before any expensive characterization *)
 let test_invalid_input () =
-  check_exit "unknown method" 2
-    [ "estimate"; "-n"; "500"; "--method"; "bogus" ];
   check_exit "malformed mix" 2 [ "estimate"; "-n"; "500"; "--mix"; "INV_X1" ];
   check_exit "malformed correlation" 2
     [ "estimate"; "-n"; "500"; "--corr"; "spherical" ];
@@ -68,6 +66,32 @@ let test_invalid_input () =
     [ "estimate"; "-n"; "500"; "-p"; "1.5" ];
   check_exit "tail shift beyond 30 nm" 2
     [ "tail"; "-n"; "100"; "--budget"; "1"; "--shift"; "31" ];
+  check_exit "unwritable validate report" 2
+    [ "validate"; "--sweep"; "quick"; "--json"; "/nonexistent/v.json" ];
+  check_exit "unwritable characterization" 2
+    [ "characterize"; "--save"; "/nonexistent/c.txt" ];
+  (* Early flags fail before any work, worded for the flag. *)
+  let err = Filename.temp_file "rgleak_cli" ".err" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove err)
+    (fun () ->
+      List.iter
+        (fun (name, args, want) ->
+          Alcotest.(check int) name 2 (run ~err args);
+          let stderr = read_file err in
+          if not (contains stderr want) then
+            Alcotest.failf "%s: want %S in %S" name want stderr)
+        [
+          ( "signoff p above one",
+            [ "signoff"; "--benchmark"; "c432"; "-p"; "1.5" ],
+            "invalid input: p must be in [0, 1]" );
+          ( "unknown method",
+            [ "estimate"; "-n"; "500"; "--method"; "bogus" ],
+            "(want auto, linear, int2d or polar)" );
+          ( "tail is no method",
+            [ "estimate"; "-n"; "500"; "--method"; "tail" ],
+            "unknown method \"tail\" (want auto, linear, int2d or polar)" );
+        ]);
   (* A NaN range is rejected while parsing, not by a tier breaking down. *)
   let err = Filename.temp_file "rgleak_cli" ".err" in
   Fun.protect

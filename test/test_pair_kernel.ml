@@ -21,14 +21,20 @@ let check_bits name expected actual =
 
 (* Random staged geometry, built exactly the way the estimator stages a
    placed design: cells counting-sorted by type, packed tables indexed
-   through a dense nu x nu base map. *)
-let make_buffers ~seed ~n ~nu ~distance_points =
+   through a dense nu x nu base map.  The tables cover the diagonal of a
+   100 x 100 die; cells spread over [0, span)^2 with span > 100 reach
+   past it, so the k > kmax clamp fires.  [cell_ty] fixes the types. *)
+let make_buffers ?(span = 100.0) ?cell_ty ~seed ~n ~nu ~distance_points () =
   let rng = Rng.create ~seed () in
   let dmax = (sqrt 2.0 *. 100.0) +. 1e-9 in
   let dstep = dmax /. float_of_int (distance_points - 1) in
-  let cell_ty = Array.init n (fun _ -> Rng.int rng nu) in
-  let px = Array.init n (fun _ -> Rng.float rng 100.0) in
-  let py = Array.init n (fun _ -> Rng.float rng 100.0) in
+  let cell_ty =
+    match cell_ty with
+    | Some t -> t
+    | None -> Array.init n (fun _ -> Rng.int rng nu)
+  in
+  let px = Array.init n (fun _ -> Rng.float rng span) in
+  let py = Array.init n (fun _ -> Rng.float rng span) in
   let seg = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (nu + 1) in
   let next = Array.make nu 0 in
   Array.iter (fun t -> next.(t) <- next.(t) + 1) cell_ty;
@@ -78,23 +84,43 @@ let make_buffers ~seed ~n ~nu ~distance_points =
     kmax = distance_points - 2;
   }
 
+(* Cells past the table's distance range, in 8 types of 16 + r cells for
+   r = 0..7, so whole segments leave every remainder length. *)
+let clamped_buffers ~seed =
+  let cell_ty = Array.concat (List.init 8 (fun t -> Array.make (16 + t) t)) in
+  make_buffers ~span:160.0 ~cell_ty ~seed ~n:(Array.length cell_ty) ~nu:8
+    ~distance_points:32 ()
+
+let all_isas =
+  List.filter Pair_kernel.available Pair_kernel.[ Scalar; Avx2; Avx512; Auto ]
+
 let test_stub_matches_ocaml_mirror =
-  qcheck ~count:60 "C scalar kernel is bitwise the OCaml lane mirror"
+  qcheck ~count:60
+    "C scalar kernel is bitwise the OCaml lane mirror, as is every ISA"
     QCheck2.Gen.(
       quad (int_range 2 120) (int_range 1 5) (int_range 4 32) (int_range 0 1000))
     (fun (n, nu, distance_points, seed) ->
-      let b = make_buffers ~seed ~n ~nu ~distance_points in
-      let lo = seed mod n and span = 1 + (seed mod 17) in
-      let hi = Stdlib.min n (lo + span) in
-      bits (Pair_kernel.sum ~isa:Scalar b ~lo:0 ~hi:n)
-      = bits (Pair_kernel.sum_ocaml b ~lo:0 ~hi:n)
-      && bits (Pair_kernel.sum ~isa:Scalar b ~lo ~hi)
-         = bits (Pair_kernel.sum_ocaml b ~lo ~hi))
+      (* odd seeds spread the cells past the table: the clamp fires *)
+      let span = if seed land 1 = 1 then 160.0 else 100.0 in
+      let b = make_buffers ~span ~seed ~n ~nu ~distance_points () in
+      let lo = seed mod n and rows = 1 + (seed mod 17) in
+      let hi = Stdlib.min n (lo + rows) in
+      let whole = Pair_kernel.sum_ocaml b ~lo:0 ~hi:n in
+      let part = Pair_kernel.sum_ocaml b ~lo ~hi in
+      let c = clamped_buffers ~seed in
+      let nc = Bigarray.Array1.dim c.Pair_kernel.xs in
+      let clamped = Pair_kernel.sum_ocaml c ~lo:0 ~hi:nc in
+      List.for_all
+        (fun isa ->
+          bits (Pair_kernel.sum ~isa b ~lo:0 ~hi:n) = bits whole
+          && bits (Pair_kernel.sum ~isa b ~lo ~hi) = bits part
+          && bits (Pair_kernel.sum ~isa c ~lo:0 ~hi:nc) = bits clamped)
+        all_isas)
 
 let test_simd_matches_scalar () =
   (* Auto plus every ISA the host supports must reproduce the scalar
      bits exactly (fixed 8-lane summation order, no FMA contraction). *)
-  let b = make_buffers ~seed:7 ~n:1500 ~nu:5 ~distance_points:64 in
+  let b = make_buffers ~seed:7 ~n:1500 ~nu:5 ~distance_points:64 () in
   let reference = Pair_kernel.sum ~isa:Scalar b ~lo:0 ~hi:1500 in
   List.iter
     (fun isa ->
@@ -115,7 +141,7 @@ let test_simd_matches_scalar () =
     [ (0, 1); (17, 63); (256, 512); (1499, 1500) ]
 
 let test_validate_rejects () =
-  let b = make_buffers ~seed:3 ~n:50 ~nu:3 ~distance_points:8 in
+  let b = make_buffers ~seed:3 ~n:50 ~nu:3 ~distance_points:8 () in
   let expect_invalid name f =
     match f () with
     | (_ : float) -> Alcotest.failf "%s: expected Invalid_argument" name
@@ -136,8 +162,10 @@ let test_validate_rejects () =
 (* --- exact scaled accumulation (the delta estimator's kernels) ----- *)
 
 (* Per-term oracle: the scaled pair term of the summing kernel's
-   arithmetic, folded through Xsum.add one term at a time. *)
-let acc_oracle (b : Pair_kernel.buffers) ~scale ~rows ~partner ~srow =
+   arithmetic, mapped through [f], folded through Xsum.add one term at a
+   time. *)
+let acc_oracle ?(f = Fun.id) (b : Pair_kernel.buffers) ~scale ~rows ~partner
+    ~srow =
   let open Bigarray.Array1 in
   let acc = Xsum.create () in
   List.iter
@@ -151,7 +179,7 @@ let acc_oracle (b : Pair_kernel.buffers) ~scale ~rows ~partner ~srow =
           let tb = get b.base ((get b.ty a * b.nu) + get b.ty p) in
           let t0 = get b.cov (tb + k) and t1 = get b.cov (tb + k + 1) in
           let w = t0 +. ((pos -. float_of_int k) *. (t1 -. t0)) in
-          Xsum.add acc ((srow a *. get scale p) *. w)
+          Xsum.add acc (f ((srow a *. get scale p) *. w))
         end
       done)
     rows;
@@ -167,57 +195,84 @@ let random_scale ~seed n =
   done;
   s
 
-let acc_isas =
-  List.filter Pair_kernel.available Pair_kernel.[ Scalar; Avx2; Avx512; Auto ]
+(* gamma_k = k u / (1 - k u), u = 2^-53: the relative error bound of any
+   k-addition float sum (Higham, Accuracy and Stability, 2nd ed., 4.2) *)
+let gamma k =
+  let ku = float_of_int k *. epsilon_float /. 2.0 in
+  ku /. (1.0 -. ku)
 
 let test_acc_cross_isa () =
   (* Exactness makes the ISA unobservable: acc_band and acc_row give the
      per-term oracle's bits on every ISA the host runs, whatever the
-     band split or block boundaries. *)
-  let n = 1500 in
-  let b = make_buffers ~seed:21 ~n ~nu:5 ~distance_points:64 in
-  let scale = random_scale ~seed:22 n in
-  let band_want =
-    acc_oracle b ~scale ~rows:(List.init n Fun.id)
-      ~partner:(fun a p -> p > a)
-      ~srow:(Bigarray.Array1.get scale)
-  in
-  let rows = [ 0; 1; 333; 1024; n - 1 ] in
-  let row_want =
-    List.map
-      (fun r ->
-        let srow = -.Bigarray.Array1.get scale r *. 3.0 in
-        ( r,
-          srow,
-          acc_oracle b ~scale ~rows:[ r ] ~partner:(fun a p -> p <> a)
-            ~srow:(fun _ -> srow) ))
-      rows
-  in
+     band split or block boundaries.  With unit scales the lane sum and
+     the exact sum add the same N terms, so they differ by at most
+     gamma_(N-1) sum |w| plus the exact sum's one rounding, u sum |w|:
+     in all, gamma_N sum |w|. *)
   List.iter
-    (fun isa ->
-      let name = Pair_kernel.isa_name isa in
-      let full = Xsum.create () in
-      Pair_kernel.acc_band ~isa b ~scale ~acc:full ~lo:0 ~hi:n;
-      check_bits (name ^ " acc_band vs per-term oracle") band_want
-        (Xsum.value full);
-      let split = Xsum.create () in
+    (fun (b, bands, rows) ->
+      let n = Bigarray.Array1.dim b.Pair_kernel.xs in
+      let scale = random_scale ~seed:22 n in
+      let ones = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
+      Bigarray.Array1.fill ones 1.0;
+      let upper ?f scale =
+        acc_oracle ?f b ~scale ~rows:(List.init n Fun.id)
+          ~partner:(fun a p -> p > a)
+          ~srow:(Bigarray.Array1.get scale)
+      in
+      let band_want = upper scale in
+      let abs_sum = upper ~f:Float.abs ones in
+      let row_want =
+        List.map
+          (fun r ->
+            let srow = -.Bigarray.Array1.get scale r *. 3.0 in
+            ( r,
+              srow,
+              acc_oracle b ~scale ~rows:[ r ] ~partner:(fun a p -> p <> a)
+                ~srow:(fun _ -> srow) ))
+          rows
+      in
       List.iter
-        (fun (lo, hi) ->
-          let part = Xsum.create () in
-          Pair_kernel.acc_band ~isa b ~scale ~acc:part ~lo ~hi;
-          Xsum.merge ~into:split part)
-        [ (0, 7); (7, 700); (700, 701); (701, n) ];
-      check_bits (name ^ " acc_band bands vs one pass") band_want
-        (Xsum.value split);
-      List.iter
-        (fun (row, srow, want) ->
-          let acc = Xsum.create () in
-          Pair_kernel.acc_row ~isa b ~scale ~acc ~row ~srow;
-          check_bits
-            (Printf.sprintf "%s acc_row %d vs per-term oracle" name row)
-            want (Xsum.value acc))
-        row_want)
-    acc_isas
+        (fun isa ->
+          let name = Printf.sprintf "%s n=%d" (Pair_kernel.isa_name isa) n in
+          let full = Xsum.create () in
+          Pair_kernel.acc_band ~isa b ~scale ~acc:full ~lo:0 ~hi:n;
+          check_bits (name ^ " acc_band vs per-term oracle") band_want
+            (Xsum.value full);
+          let split = Xsum.create () in
+          List.iter
+            (fun (lo, hi) ->
+              let part = Xsum.create () in
+              Pair_kernel.acc_band ~isa b ~scale ~acc:part ~lo ~hi;
+              Xsum.merge ~into:split part)
+            bands;
+          check_bits (name ^ " acc_band bands vs one pass") band_want
+            (Xsum.value split);
+          List.iter
+            (fun (row, srow, want) ->
+              let acc = Xsum.create () in
+              Pair_kernel.acc_row ~isa b ~scale ~acc ~row ~srow;
+              check_bits
+                (Printf.sprintf "%s acc_row %d vs per-term oracle" name row)
+                want (Xsum.value acc))
+            row_want;
+          let exact = Xsum.create () in
+          Pair_kernel.acc_band ~isa b ~scale:ones ~acc:exact ~lo:0 ~hi:n;
+          let lane = Pair_kernel.sum ~isa b ~lo:0 ~hi:n in
+          let gap = Float.abs (lane -. Xsum.value exact) in
+          let bound = gamma (n * (n - 1) / 2) *. abs_sum in
+          if not (gap <= bound) then
+            Alcotest.failf "%s: lane sum %.17g and exact sum %.17g differ by \
+                            %g, over the bound %g"
+              name lane (Xsum.value exact) gap bound)
+        all_isas)
+    [
+      ( make_buffers ~seed:21 ~n:1500 ~nu:5 ~distance_points:64 (),
+        [ (0, 7); (7, 700); (700, 701); (701, 1500) ],
+        [ 0; 1; 333; 1024; 1499 ] );
+      ( clamped_buffers ~seed:23,
+        [ (0, 9); (9, 100); (100, 156) ],
+        [ 0; 16; 17; 77; 155 ] );
+    ]
 
 (* --- binned covariance tables (estimator staging) ----------------- *)
 
@@ -351,7 +406,7 @@ let minor_words_of f =
   Gc.minor_words () -. w0
 
 let test_kernel_allocation_free () =
-  let b = make_buffers ~seed:11 ~n:2000 ~nu:5 ~distance_points:64 in
+  let b = make_buffers ~seed:11 ~n:2000 ~nu:5 ~distance_points:64 () in
   let dw = minor_words_of (fun () -> Pair_kernel.sum b ~lo:0 ~hi:2000) in
   if dw > 256.0 then
     Alcotest.failf "kernel call allocated %.0f minor words (want ~0)" dw
