@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench examples clean doc bench-json microbench \
+.PHONY: all build test bench examples clean doc bench-json \
         trace metrics overhead check fault-matrix validate golden-check \
         golden-update batch-demo batch-smoke serve-smoke bench-gate \
         bench-ratchet report-demo flamegraph tail-demo optimize-demo \
@@ -265,9 +265,6 @@ bench-json:
 # at n = 100k gates, and refreshes the delta-swap bench entry.
 bench-delta:
 	dune exec bench/main.exe -- --run ext-delta
-
-microbench:
-	dune exec bench/main.exe -- --run microbench
 
 # Telemetry demos: span/counter report on stderr, Chrome trace + metrics
 # JSON files in the working directory (open trace.json in ui.perfetto.dev).

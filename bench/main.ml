@@ -1,6 +1,6 @@
 (* Experiment harness: regenerates every table and figure of the paper
-   (see DESIGN.md's experiment index) plus ablations, and exposes
-   Bechamel micro-benchmarks for the estimator complexity claims.
+   (see DESIGN.md's experiment index) plus ablations, and times the
+   estimators for the complexity claims.
 
    Usage:
      bench/main.exe                   run E1..E9 and ablations
@@ -9,7 +9,6 @@
                                       and write BENCH_estimators.json
      bench/main.exe --run overhead    assert disabled telemetry costs < 1%
                                       on the exact loop (BENCH_overhead.json)
-     bench/main.exe --run microbench  run the Bechamel micro-benchmarks
      bench/main.exe --jobs 8          size the parallel domain pool
      bench/main.exe --fast            reduced replica counts  *)
 
@@ -290,7 +289,7 @@ let run_fig7 () =
     "(paper: > 1%% below 100 gates, < 0.1%% for large, < 0.01%% above 10k)\n"
 
 (* ------------------------------------------------------------------ *)
-(* E8: estimator runtime scaling + Bechamel micro-benchmarks            *)
+(* E8: estimator runtime scaling                                       *)
 (* ------------------------------------------------------------------ *)
 
 let time_it f =
@@ -341,71 +340,6 @@ let run_scaling () =
       Printf.printf "%9d  %s  %12.4f  %12.4f\n" n exact_time t_lin t_int)
     [ 1000; 10_000; 100_489; 1_000_000 ];
   Printf.printf "(O(n^2) vs O(n) vs O(1): the integral column is flat)\n"
-
-let run_bechamel () =
-  section "E8b: Bechamel micro-benchmarks";
-  let chars = Lazy.force chars in
-  let hist = Lazy.force default_hist in
-  let ctx = Estimate.context ~chars ~corr:corr_default ~histogram:hist () in
-  let rgcorr = Estimate.correlation ctx in
-  let rng = Rng.create ~seed:31337 () in
-  let placed_400 = Generator.random_placed ~histogram:hist ~n:400 ~rng () in
-  let layout_10k = Layout.square ~n:10_000 () in
-  let w = Layout.width layout_10k and h = Layout.height layout_10k in
-  let open Bechamel in
-  let tests =
-    [
-      Test.make ~name:"table1-exact-pairwise-n400"
-        (Staged.stage (fun () ->
-             ignore
-               (Estimator_exact.estimate ~corr:corr_default ~rgcorr placed_400)));
-      Test.make ~name:"fig7-linear-Eq17-n10000"
-        (Staged.stage (fun () ->
-             ignore
-               (Estimator_linear.estimate ~corr:corr_default ~rgcorr
-                  ~layout:layout_10k ())));
-      Test.make ~name:"fig7-integral-2d-Eq20"
-        (Staged.stage (fun () ->
-             ignore
-               (Estimator_integral.rect_2d ~corr:corr_default ~rgcorr ~n:10_000
-                  ~width:w ~height:h ())));
-      Test.make ~name:"fig7-integral-polar-Eq25"
-        (Staged.stage (fun () ->
-             ignore
-               (Estimator_integral.polar ~corr:corr_default ~rgcorr ~n:10_000
-                  ~width:w ~height:h ())));
-      Test.make ~name:"fig2-rg-covariance-lookup"
-        (Staged.stage (fun () -> ignore (Rg_correlation.f rgcorr ~rho_l:0.5)));
-      Test.make ~name:"fig6-rg-model-build"
-        (Staged.stage (fun () ->
-             ignore (Random_gate.create ~chars ~histogram:hist ~p:0.5 ())));
-      Test.make ~name:"fig3-signal-prob-sweep"
-        (Staged.stage (fun () ->
-             ignore
-               (Signal_prob.sweep ~points:21 chars
-                  ~weights:(Histogram.to_array hist))));
-    ]
-  in
-  List.iter
-    (fun test ->
-      let results =
-        Benchmark.all
-          (Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ())
-          [ Toolkit.Instance.monotonic_clock ]
-          test
-      in
-      let analysis =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |])
-          Toolkit.Instance.monotonic_clock results
-      in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> Printf.printf "%-34s %14.1f ns/run\n" name est
-          | Some _ | None -> Printf.printf "%-34s (no estimate)\n" name)
-        analysis)
-    tests
 
 (* ------------------------------------------------------------------ *)
 (* E8c: parallel-runtime timing, tracked as BENCH_estimators.json       *)
@@ -1373,7 +1307,6 @@ let () =
     (fun name ->
       if name = "timing" then run_timing ()
       else if name = "overhead" then run_overhead ()
-      else if name = "microbench" then run_bechamel ()
       else
         match List.assoc_opt name experiments with
         | Some f -> f ()

@@ -104,6 +104,23 @@ let write_file path text =
   try Out_channel.with_open_bin path (fun oc -> output_string oc text)
   with Sys_error msg -> Guard.invalid msg
 
+(* Rejects an output path whose directory is missing or unwritable
+   before any work is spent; the write itself stays in [write_file]. *)
+let check_output path =
+  try Unix.access (Filename.dirname path) [ Unix.W_OK; Unix.X_OK ]
+  with Unix.Unix_error (e, _, _) ->
+    Guard.invalid (Printf.sprintf "%s: %s" path (Unix.error_message e))
+
+(* A parsed input file; a parse error names the path. *)
+let parse_file path parse =
+  let text = read_file path in
+  try parse text with
+  | Char_io.Format_error msg | Placement_io.Format_error msg ->
+    Guard.invalid (Printf.sprintf "%s: %s" path msg)
+  | Bench_format.Parse_error { line; message }
+  | Verilog.Parse_error { line; message } ->
+    Guard.invalid (Printf.sprintf "%s:%d: %s" path line message)
+
 (* The result cache: --cache-dir, plus --no-cache where caching is on by
    default.  The term yields an opener taking the size cap, run inside
    the diagnostics handler. *)
@@ -363,7 +380,7 @@ let with_diagnostics ro run =
 
 let chars_of = function
   | None -> Characterize.default_library ()
-  | Some path -> Char_io.load ~path
+  | Some path -> parse_file path Char_io.of_string
 
 let print_result label (r : Estimate.result) =
   Printf.printf "%s\n" label;
@@ -431,6 +448,7 @@ let characterize_cmd =
     with_diagnostics ro @@ fun () ->
     apply_jobs jobs;
     with_telemetry tr @@ fun () ->
+    Option.iter check_output save;
     (* Validate the cell name before paying for characterization. *)
     let cell_index =
       match cell_name with
@@ -644,14 +662,20 @@ let signoff_cmd =
     | _ ->
       Guard.invalid
         "give exactly one of --benchmark, --bench-file or --verilog-file");
+    if bench <> None && placement <> None then
+      Guard.invalid "--placement applies to --bench-file/--verilog-file only";
+    Option.iter check_output save_placement;
+    let placement =
+      Option.map (fun path -> (path, parse_file path Placement_io.of_string))
+        placement
+    in
     let corr = corr_model (Batch.parse_family corr) in
     let method_ = Batch.method_selector (Batch.method_of_name method_) in
     let p = Option.map Batch.check_p p in
     let chars = Characterize.default_library () in
     let place_netlist netlist label =
       match placement with
-      | Some path ->
-        let pl = Placement_io.load ~path in
+      | Some (path, pl) ->
         let placed = Placement_io.apply netlist pl in
         Printf.printf "applied placement %s (max snap %.2f um)\n" path
           (Placement_io.max_snap_distance placed pl);
@@ -677,7 +701,8 @@ let signoff_cmd =
           Printf.sprintf "late-mode sign-off of %s (%s)" spec.Benchmarks.name
             spec.Benchmarks.description )
       | None, Some path, None ->
-        let parsed = Bench_format.parse_file path in
+        let name = Filename.remove_extension (Filename.basename path) in
+        let parsed = parse_file path (Bench_format.parse_string ~name) in
         let netlist, report = Techmap.map parsed in
         Printf.printf
           "mapped %s: %d source gates -> %d library cells (%d decomposed, %d added)\n"
@@ -688,7 +713,9 @@ let signoff_cmd =
           (Printf.sprintf "late-mode sign-off of %s (from %s)"
              parsed.Bench_format.name path)
       | None, None, Some path ->
-        let netlist = Verilog.to_netlist (Verilog.parse_file path) in
+        let netlist =
+          Verilog.to_netlist (parse_file path Verilog.parse_string)
+        in
         place_netlist netlist
           (Printf.sprintf "late-mode sign-off of %s (from %s)"
              netlist.Netlist.name path)
@@ -698,7 +725,7 @@ let signoff_cmd =
     (match save_placement with
     | None -> ()
     | Some path ->
-      Placement_io.save ~path (Placement_io.of_placed placed);
+      write_file path (Placement_io.to_string (Placement_io.of_placed placed));
       Printf.printf "saved placement to %s\n" path);
     print_result label r;
     if with_true then begin
@@ -1021,6 +1048,7 @@ let validate_cmd =
     with_diagnostics ro @@ fun () ->
     apply_jobs jobs;
     with_telemetry tr @@ fun () ->
+    Option.iter check_output json;
     let sweep = Experiment.sweep_named sweep_name in
     let report = Experiment.run ?jobs ~seed sweep in
     Format.printf "%a" Experiment.pp_report report;
@@ -1103,6 +1131,7 @@ let tail_cmd =
     with_diagnostics ro @@ fun () ->
     apply_jobs jobs;
     with_telemetry tr @@ fun () ->
+    Option.iter check_output json;
     (* Argument validation first: bad budgets/shifts are invalid-input
        diagnostics (exit 2), never NaN reports. *)
     let s =
@@ -1235,6 +1264,7 @@ let optimize_cmd =
     with_diagnostics ro @@ fun () ->
     apply_jobs jobs;
     with_telemetry tr @@ fun () ->
+    Option.iter check_output json;
     let s = scenario_of design ~fields:[ ("seed", jint seed) ] in
     let n = s.Batch.s_n in
     let start_flavor =
@@ -1402,6 +1432,7 @@ let batch_cmd =
     with_diagnostics ro @@ fun () ->
     apply_jobs jobs;
     with_telemetry tr @@ fun () ->
+    Option.iter check_output out;
     let scenarios = Batch.parse_manifest (read_file manifest_path) in
     let cache = open_cache None in
     let outcomes = Batch.run ?cache scenarios in

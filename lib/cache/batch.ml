@@ -492,11 +492,9 @@ let run_scenario state scen =
     let run_est lin_memo =
       Estimate.run ?lin_memo ~method_ ~with_vt:scen.s_vt ctx spec
     in
-    (* Mirror Estimate.run's Auto rule: the F memo only matters when
-       the linear tier will actually execute. *)
-    let uses_linear = t = Linear || (t = Auto && scen.s_n <= 2000) in
+    (* The F memo only matters when the linear tier will execute. *)
     let r =
-      if uses_linear then
+      if Estimate.resolve_method ~method_ ctx spec = Estimate.Linear then
         let key_parts =
           ctx_e.e_parts
           @ [

@@ -244,29 +244,38 @@ let parse_entry ~kind ~version contents =
       else Ok payload
     | _ -> Error "malformed header")
 
-let get t ~kind ~version ~key =
+(* The integrity-checked payload; [Error None] is a plain miss. *)
+let read_entry ~path ~kind ~version =
   Obs.hist_time "cache.get_s" @@ fun () ->
-  let path = entry_path t ~kind ~version ~key in
   match read_file path with
-  | exception Sys_error _ ->
+  | exception Sys_error _ -> Error None
+  | _ when Guard.Fault.fire "cache" -> Error (Some "injected fault")
+  | contents ->
+    Result.map_error Option.some (parse_entry ~kind ~version contents)
+
+let find t ~kind ~version ~key decode =
+  let path = entry_path t ~kind ~version ~key in
+  let decoded =
+    Result.bind (read_entry ~path ~kind ~version) (fun payload ->
+        (* Take the length first: the decoder may let the payload die. *)
+        let bytes = String.length payload in
+        match decode payload with
+        | v -> Ok (v, bytes)
+        | exception ((Out_of_memory | Sys.Break) as e) -> raise e
+        | exception e ->
+          Error (Some ("payload does not decode: " ^ Printexc.to_string e)))
+  in
+  match decoded with
+  | Ok (v, bytes) ->
+    record_hit t bytes;
+    if capped t then index_touch t path;
+    Some v
+  | Error detail ->
+    Option.iter (record_corrupt t ~path) detail;
     record_miss t;
     None
-  | contents -> (
-    if Guard.Fault.fire "cache" then begin
-      record_corrupt t ~path "injected fault";
-      record_miss t;
-      None
-    end
-    else
-      match parse_entry ~kind ~version contents with
-      | Ok payload ->
-        record_hit t (String.length payload);
-        if capped t then index_touch t path;
-        Some payload
-      | Error detail ->
-        record_corrupt t ~path detail;
-        record_miss t;
-        None)
+
+let get t ~kind ~version ~key = find t ~kind ~version ~key Fun.id
 
 let put t ~kind ~version ~key payload =
   Obs.hist_time "cache.put_s" @@ fun () ->

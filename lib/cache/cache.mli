@@ -17,8 +17,9 @@
 
     {b Failure semantics.}  The cache is an accelerator, never an
     authority: corrupt entries (truncation, bit rot, a stale writer —
-    detected by a payload digest recorded in the entry header) are
-    deleted, surfaced through the [on_corrupt] callback as a typed
+    detected by a payload digest recorded in the entry header, or by a
+    {!find} decoder that rejects the payload) are deleted, surfaced
+    through the [on_corrupt] callback as a typed
     {!Rgleak_num.Guard.diagnostic}, and treated as misses so callers
     recompute.  Write failures (read-only directory, disk full) are
     swallowed and counted; a run with a broken cache directory
@@ -33,7 +34,7 @@
     bytes fit the cap.  Hits refresh recency (in memory, and
     best-effort on the file mtime so recency survives restarts).
     Eviction only ever runs inside {!put} and never selects the entry
-    just written, so a payload returned by {!get} is always a complete
+    just written, so a payload read by {!find} is always a complete
     read — an entry is never deleted mid-read through its own handle.
     A concurrent reader in another process at worst sees a miss and
     recomputes; correctness never depends on an entry staying.
@@ -90,9 +91,16 @@ val key : string list -> string
     are length-prefixed before hashing, so [["ab"; "c"]] and
     [["a"; "bc"]] address different entries. *)
 
+val find :
+  t -> kind:string -> version:int -> key:string -> (string -> 'a) -> 'a option
+(** The stored payload passed through the decoder, or [None] on a miss
+    or a corrupt entry (which is deleted and reported).  A decoder that
+    raises marks the entry corrupt exactly like a failed integrity
+    check: it is deleted, counted in [corrupt] and [misses] (never in
+    [hits]), and reported through [on_corrupt]. *)
+
 val get : t -> kind:string -> version:int -> key:string -> string option
-(** The stored payload, or [None] on miss or on a corrupt entry (which
-    is deleted and reported). *)
+(** {!find} with the identity decoder: the raw payload. *)
 
 val put : t -> kind:string -> version:int -> key:string -> string -> unit
 (** Stores a payload (atomic write-then-rename; concurrent writers of

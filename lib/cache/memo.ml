@@ -1,4 +1,3 @@
-module Guard = Rgleak_num.Guard
 module Characterize = Rgleak_cells.Characterize
 module Char_io = Rgleak_cells.Char_io
 module Library = Rgleak_cells.Library
@@ -56,322 +55,233 @@ let compute_characterization ?jobs ~temp_celsius () =
     Characterize.characterize_library ?jobs ~env
       ~param:Process_param.default_channel_length ~seed:1729 ()
 
-let characterization ?cache ?jobs ~temp_celsius () =
+(* The one get-or-compute path: an entry that [Cache.find] reads and
+   [decode]s is a hit; on anything else the value is computed, stored
+   and returned.  [key] is a thunk so uncached callers never pay for
+   the key parts. *)
+let cached cache ~kind ~version ~key ~encode ~decode compute =
   match cache with
-  | None -> compute_characterization ?jobs ~temp_celsius ()
+  | None -> compute ()
   | Some c -> (
-    let key = Cache.key (chars_key_parts ~temp_celsius) in
-    let store chars =
-      Cache.put c ~kind:"chars" ~version:chars_version ~key
-        (Char_io.to_string chars);
-      chars
+    let key = Cache.key (key ()) in
+    match Cache.find c ~kind ~version ~key decode with
+    | Some v -> v
+    | None ->
+      let v = compute () in
+      Cache.put c ~kind ~version ~key (encode v);
+      v)
+
+let characterization ?cache ?jobs ~temp_celsius () =
+  cached cache ~kind:"chars" ~version:chars_version
+    ~key:(fun () -> chars_key_parts ~temp_celsius)
+    ~encode:Char_io.to_string ~decode:Char_io.of_string
+    (compute_characterization ?jobs ~temp_celsius)
+
+(* The rgcorr, linmemo and deltacov payloads share one line-oriented
+   layout: a header line [rgleak-<kind> 1], one line of space-separated
+   words per field, then [end].  Floats are hex literals ([%h]), so a
+   reload replays the exact bits of the cold run. *)
+
+let hex x = Printf.sprintf "%h" x
+let hexes xs = Array.to_list (Array.map hex xs)
+
+let render kind fill =
+  let b = Buffer.create 4096 in
+  let line words =
+    Buffer.add_string b (String.concat " " words);
+    Buffer.add_char b '\n'
+  in
+  line [ "rgleak-" ^ kind; "1" ];
+  fill line;
+  line [ "end" ];
+  Buffer.contents b
+
+let fail fmt = Printf.ksprintf failwith fmt
+
+let num parse w = match parse w with Some x -> x | None -> fail "bad %S" w
+let int_of = num int_of_string_opt
+let float_of = num float_of_string_opt
+
+let floats_of n ws =
+  if List.length ws <> n then fail "want %d floats" n;
+  Array.of_list (List.map float_of ws)
+
+(* The reader mirrors [render]: [read] pulls the words of one line at a
+   time and decodes them straight into its target, so no more than one
+   line is ever split.  Any malformed input raises, which [Cache.find]
+   treats as a corrupt entry. *)
+let parse kind read payload =
+  let len = String.length payload and pos = ref 0 in
+  let next () =
+    if !pos >= len then fail "%s payload truncated" kind;
+    let stop =
+      Option.value (String.index_from_opt payload !pos '\n') ~default:len
     in
-    match Cache.get c ~kind:"chars" ~version:chars_version ~key with
-    | Some payload -> (
-      match Char_io.of_string payload with
-      | chars -> chars
-      | exception Char_io.Format_error _ ->
-        (* Integrity-valid but unparseable: written by an incompatible
-           producer.  Recompute and overwrite. *)
-        store (compute_characterization ?jobs ~temp_celsius ()))
-    | None -> store (compute_characterization ?jobs ~temp_celsius ()))
+    let line = String.sub payload !pos (stop - !pos) in
+    pos := stop + 1;
+    String.split_on_char ' ' line
+  in
+  if next () <> [ "rgleak-" ^ kind; "1" ] then fail "bad %s header" kind;
+  let v = read next in
+  if next () <> [ "end" ] || !pos < len then fail "%s payload not ended" kind;
+  v
 
-(* Correlation tables: a line-oriented text payload with hex-float
-   literals, so a reload replays the exact bits of the cold run.
+(* The words after [name] on the next line. *)
+let field next name =
+  match next () with
+  | w :: rest when w = name -> rest
+  | _ -> fail "expected %s" name
 
-     rgleak-rgcorr 1
+let one = function [ w ] -> w | _ -> fail "want one word"
+
+(* Correlation tables:
      mapping exact|simplified
      points <p>
      sigma_bar <%h>
      support <k> <i0> ... <ik-1>
      f <%h>{p}
-     pair <si> <sj> <%h>{p}     (k*k lines, row-major)
-     end
-*)
+     pair <si> <sj> <%h>{p}     (k*k lines, row-major) *)
 
-let render_floats b xs =
-  Array.iter (fun x -> Printf.bprintf b " %h" x) xs
+let render_tables
+    { Rg_correlation.t_mapping; t_points; t_support_cells; t_f_table;
+      t_pair_tables; t_sigma_bar } =
+  render "rgcorr" @@ fun line ->
+  line
+    [
+      "mapping";
+      (match t_mapping with
+      | Rg_correlation.Exact -> "exact"
+      | Rg_correlation.Simplified -> "simplified");
+    ];
+  line [ "points"; string_of_int t_points ];
+  line [ "sigma_bar"; hex t_sigma_bar ];
+  let ns = Array.length t_support_cells in
+  line
+    ("support" :: List.map string_of_int (ns :: Array.to_list t_support_cells));
+  line ("f" :: hexes t_f_table);
+  Array.iteri
+    (fun i tbl ->
+      line ("pair" :: string_of_int (i / ns) :: string_of_int (i mod ns)
+            :: hexes tbl))
+    t_pair_tables
 
-let render_tables (tb : Rg_correlation.tables) =
-  let b = Buffer.create 8192 in
-  Buffer.add_string b "rgleak-rgcorr 1\n";
-  Printf.bprintf b "mapping %s\n"
-    (match tb.Rg_correlation.t_mapping with
-    | Rg_correlation.Exact -> "exact"
-    | Rg_correlation.Simplified -> "simplified");
-  Printf.bprintf b "points %d\n" tb.Rg_correlation.t_points;
-  Printf.bprintf b "sigma_bar %h\n" tb.Rg_correlation.t_sigma_bar;
-  Printf.bprintf b "support %d"
-    (Array.length tb.Rg_correlation.t_support_cells);
-  Array.iter (Printf.bprintf b " %d") tb.Rg_correlation.t_support_cells;
-  Buffer.add_char b '\n';
-  Buffer.add_string b "f";
-  render_floats b tb.Rg_correlation.t_f_table;
-  Buffer.add_char b '\n';
-  let ns = Array.length tb.Rg_correlation.t_support_cells in
-  for si = 0 to ns - 1 do
-    for sj = 0 to ns - 1 do
-      Printf.bprintf b "pair %d %d" si sj;
-      render_floats b tb.Rg_correlation.t_pair_tables.((si * ns) + sj);
-      Buffer.add_char b '\n'
-    done
-  done;
-  Buffer.add_string b "end\n";
-  Buffer.contents b
-
-exception Parse of string
-
-let parse_tables payload : Rg_correlation.tables =
-  let fail fmt = Printf.ksprintf (fun s -> raise (Parse s)) fmt in
-  let int_of s =
-    match int_of_string_opt s with
-    | Some i -> i
-    | None -> fail "bad integer %S" s
+let read_tables next : Rg_correlation.tables =
+  let t_mapping =
+    match one (field next "mapping") with
+    | "exact" -> Rg_correlation.Exact
+    | "simplified" -> Rg_correlation.Simplified
+    | mp -> fail "bad mapping %S" mp
   in
-  let float_of s =
-    match float_of_string_opt s with
-    | Some x -> x
-    | None -> fail "bad float %S" s
+  let t_points = int_of (one (field next "points")) in
+  let t_sigma_bar = float_of (one (field next "sigma_bar")) in
+  let t_support_cells =
+    match field next "support" with
+    | k :: cells when List.length cells = int_of k ->
+      Array.of_list (List.map int_of cells)
+    | _ -> fail "bad support line"
   in
-  let lines =
-    String.split_on_char '\n' payload |> List.filter (fun l -> l <> "")
+  let t_f_table = floats_of t_points (field next "f") in
+  let ns = Array.length t_support_cells in
+  let t_pair_tables =
+    Array.init (ns * ns) (fun idx ->
+        match field next "pair" with
+        | si :: sj :: xs when int_of si = idx / ns && int_of sj = idx mod ns ->
+          floats_of t_points xs
+        | _ -> fail "pair table %d out of order" idx)
   in
-  let words l =
-    String.split_on_char ' ' l |> List.filter (fun w -> w <> "")
-  in
-  match List.map words lines with
-  | [ "rgleak-rgcorr"; "1" ]
-    :: [ "mapping"; mp ]
-    :: [ "points"; pts ]
-    :: [ "sigma_bar"; sb ]
-    :: ("support" :: nsup :: sup)
-    :: ("f" :: fs)
-    :: rest ->
-    let mapping =
-      match mp with
-      | "exact" -> Rg_correlation.Exact
-      | "simplified" -> Rg_correlation.Simplified
-      | _ -> fail "bad mapping %S" mp
-    in
-    let points = int_of pts in
-    let ns = int_of nsup in
-    if List.length sup <> ns then fail "support count mismatch";
-    let support = Array.of_list (List.map int_of sup) in
-    let f_table = Array.of_list (List.map float_of fs) in
-    if Array.length f_table <> points then fail "f table length mismatch";
-    let pair_tables = Array.make (ns * ns) [||] in
-    let rec consume rest idx =
-      match rest with
-      | [ "end" ] :: [] ->
-        if idx <> ns * ns then fail "missing pair tables";
-        ()
-      | ("pair" :: si :: sj :: xs) :: tl ->
-        let si = int_of si and sj = int_of sj in
-        if si < 0 || si >= ns || sj < 0 || sj >= ns then
-          fail "pair index out of range";
-        let tbl = Array.of_list (List.map float_of xs) in
-        if Array.length tbl <> points then fail "pair table length mismatch";
-        pair_tables.((si * ns) + sj) <- tbl;
-        consume tl (idx + 1)
-      | _ -> fail "malformed pair section"
-    in
-    consume rest 0;
-    {
-      Rg_correlation.t_mapping = mapping;
-      t_points = points;
-      t_support_cells = support;
-      t_f_table = f_table;
-      t_pair_tables = pair_tables;
-      t_sigma_bar = float_of sb;
-    }
-  | _ -> fail "malformed rgcorr payload"
+  { Rg_correlation.t_mapping; t_points; t_support_cells; t_f_table;
+    t_pair_tables; t_sigma_bar }
 
 let correlation ?cache ?mapping ~chars ~rg ~p ~key_parts () =
-  let compute () = Rg_correlation.create ?mapping ~chars ~rg ~p () in
-  match cache with
-  | None -> compute ()
-  | Some c -> (
-    let key = Cache.key ("rgcorr" :: key_parts) in
-    let store rgcorr =
-      Cache.put c ~kind:"rgcorr" ~version:rgcorr_version ~key
-        (render_tables (Rg_correlation.tables rgcorr));
-      rgcorr
-    in
-    match Cache.get c ~kind:"rgcorr" ~version:rgcorr_version ~key with
-    | Some payload -> (
-      match Rg_correlation.of_tables ~rg (parse_tables payload) with
-      | rgcorr -> rgcorr
-      | exception (Parse _ | Invalid_argument _) -> store (compute ()))
-    | None -> store (compute ()))
-
-(* Linear F memo: sparse (offset index, value) pairs.
-
-     rgleak-linmemo 1
-     shape <rows> <cols>
-     count <k>
-     <idx> <%h>                  (k lines, increasing idx)
-     end
-*)
-
-let render_memo memo =
-  let rows, cols = Estimator_linear.memo_shape memo in
-  let entries = Estimator_linear.memo_to_list memo in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "rgleak-linmemo 1\n";
-  Printf.bprintf b "shape %d %d\n" rows cols;
-  Printf.bprintf b "count %d\n" (List.length entries);
-  List.iter (fun (idx, v) -> Printf.bprintf b "%d %h\n" idx v) entries;
-  Buffer.add_string b "end\n";
-  Buffer.contents b
-
-let parse_memo payload ~rows ~cols =
-  let fail fmt = Printf.ksprintf (fun s -> raise (Parse s)) fmt in
-  let lines =
-    String.split_on_char '\n' payload |> List.filter (fun l -> l <> "")
-  in
-  let words l =
-    String.split_on_char ' ' l |> List.filter (fun w -> w <> "")
-  in
-  match List.map words lines with
-  | [ "rgleak-linmemo"; "1" ]
-    :: [ "shape"; r; c ]
-    :: [ "count"; k ]
-    :: rest ->
-    if int_of_string_opt r <> Some rows || int_of_string_opt c <> Some cols
-    then fail "shape mismatch";
-    let k =
-      match int_of_string_opt k with
-      | Some k -> k
-      | None -> fail "bad count"
-    in
-    let memo = Estimator_linear.memo_create ~rows ~cols in
-    let rec consume rest n =
-      match rest with
-      | [ "end" ] :: [] -> if n <> k then fail "entry count mismatch"
-      | [ idx; v ] :: tl ->
-        let idx =
-          match int_of_string_opt idx with
-          | Some i when i >= 0 && i < rows * cols -> i
-          | _ -> fail "bad entry index"
-        in
-        let v =
-          match float_of_string_opt v with
-          | Some v -> v
-          | None -> fail "bad entry value"
-        in
-        Estimator_linear.memo_set memo ~idx ~value:v;
-        consume tl (n + 1)
-      | _ -> fail "malformed entry"
-    in
-    consume rest 0;
-    memo
-  | _ -> fail "malformed linmemo payload"
+  cached cache ~kind:"rgcorr" ~version:rgcorr_version
+    ~key:(fun () -> "rgcorr" :: key_parts)
+    ~encode:(fun rgcorr -> render_tables (Rg_correlation.tables rgcorr))
+    ~decode:(fun payload ->
+      Rg_correlation.of_tables ~rg (parse "rgcorr" read_tables payload))
+    (fun () -> Rg_correlation.create ?mapping ~chars ~rg ~p ())
 
 (* Delta covariance tables: the packed per-(type-pair, distance-bin)
-   f_{m,n}(ρ) bigarray the delta estimator stages once per chip.  The
-   payload is line-oriented hex floats, so a warm load replays the cold
-   run's exact bits — which is what keeps the delta battery's bitwise
-   guarantees intact across cache hits.
-
-     rgleak-deltacov 1
+   f_{m,n}(ρ) bigarray the delta estimator stages once per chip.  Hex
+   floats keep the delta battery's bitwise guarantees across cache hits.
      dim <len>
      <%h>                        (len lines, bin-major packed order)
-     end
 
    The key combines the correlation structure's own table fingerprint
    (every float the tables derive from), the binning geometry, the used
    cell set, and caller key parts naming the spatial model — the full
    input closure of [binned_pair_tables]. *)
 
-let render_deltacov cov =
-  let len = Bigarray.Array1.dim cov in
-  let b = Buffer.create (len * 16) in
-  Buffer.add_string b "rgleak-deltacov 1\n";
-  Printf.bprintf b "dim %d\n" len;
-  for i = 0 to len - 1 do
-    Printf.bprintf b "%h\n" (Bigarray.Array1.unsafe_get cov i)
-  done;
-  Buffer.add_string b "end\n";
-  Buffer.contents b
-
-let parse_deltacov payload ~len =
-  let fail fmt = Printf.ksprintf (fun s -> raise (Parse s)) fmt in
-  let lines =
-    String.split_on_char '\n' payload |> List.filter (fun l -> l <> "")
-  in
-  match lines with
-  | "rgleak-deltacov 1" :: dim :: rest ->
-    (match String.split_on_char ' ' dim with
-    | [ "dim"; d ] when int_of_string_opt d = Some len -> ()
-    | _ -> fail "deltacov dim mismatch");
-    let cov = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout len in
-    let rec consume rest i =
-      match rest with
-      | [ "end" ] -> if i <> len then fail "deltacov value count mismatch"
-      | v :: tl ->
-        if i >= len then fail "deltacov value count mismatch";
-        (match float_of_string_opt v with
-        | Some x -> Bigarray.Array1.unsafe_set cov i x
-        | None -> fail "bad deltacov value %S" v);
-        consume tl (i + 1)
-      | [] -> fail "deltacov missing end"
-    in
-    consume rest 0;
-    cov
-  | _ -> fail "malformed deltacov payload"
-
 let delta_tables ?cache ~corr ~rgcorr ~used ~distance_points ~dstep ~key_parts
     () =
-  let compute () =
-    Rg_correlation.binned_pair_tables rgcorr ~used ~distance_points ~dstep
-      ~rho_of_d:(fun d -> Rgleak_process.Corr_model.total corr d)
+  let len = Rgleak_num.Parallel.tri_size (Array.length used) * distance_points
   in
-  match cache with
-  | None -> compute ()
-  | Some c -> (
-    let nu = Array.length used in
-    let len = Rgleak_num.Parallel.tri_size nu * distance_points in
-    let key =
-      Cache.key
-        ("deltacov"
-        :: ("tables=" ^ Rg_correlation.table_fingerprint rgcorr)
-        :: Printf.sprintf "points=%d" distance_points
-        :: Printf.sprintf "dstep=%h" dstep
-        :: ("used="
-           ^ String.concat ","
-               (Array.to_list (Array.map string_of_int used)))
-        :: key_parts)
-    in
-    let store cov =
-      Cache.put c ~kind:"deltacov" ~version:deltacov_version ~key
-        (render_deltacov cov);
-      cov
-    in
-    match Cache.get c ~kind:"deltacov" ~version:deltacov_version ~key with
-    | Some payload -> (
-      match parse_deltacov payload ~len with
-      | cov -> cov
-      | exception Parse _ -> store (compute ()))
-    | None -> store (compute ()))
+  let read next =
+    if int_of (one (field next "dim")) <> len then fail "deltacov dim mismatch";
+    let cov = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout len in
+    for i = 0 to len - 1 do
+      Bigarray.Array1.unsafe_set cov i (float_of (one (next ())))
+    done;
+    cov
+  in
+  cached cache ~kind:"deltacov" ~version:deltacov_version
+    ~key:(fun () ->
+      "deltacov"
+      :: ("tables=" ^ Rg_correlation.table_fingerprint rgcorr)
+      :: Printf.sprintf "points=%d" distance_points
+      :: Printf.sprintf "dstep=%h" dstep
+      :: ("used="
+         ^ String.concat "," (Array.to_list (Array.map string_of_int used)))
+      :: key_parts)
+    ~encode:(fun cov ->
+      render "deltacov" @@ fun line ->
+      let dim = Bigarray.Array1.dim cov in
+      line [ "dim"; string_of_int dim ];
+      for i = 0 to dim - 1 do
+        line [ hex (Bigarray.Array1.unsafe_get cov i) ]
+      done)
+    ~decode:(parse "deltacov" read)
+    (fun () ->
+      Rg_correlation.binned_pair_tables rgcorr ~used ~distance_points ~dstep
+        ~rho_of_d:(fun d -> Rgleak_process.Corr_model.total corr d))
+
+(* Linear F memo: sparse (offset index, value) pairs.
+     shape <rows> <cols>
+     count <k>
+     <idx> <%h>                  (k lines, increasing idx)
+
+   The memo is mutable, so unlike [cached] it is stored only after the
+   continuation returns normally: a poisoned run never persists. *)
 
 let with_linear_memo ?cache ~key_parts ~rows ~cols f =
+  let fresh () = Estimator_linear.memo_create ~rows ~cols in
   match cache with
-  | None -> f (Estimator_linear.memo_create ~rows ~cols)
+  | None -> f (fresh ())
   | Some c -> (
+    let kind = "linmemo" and version = linmemo_version in
     let key =
-      Cache.key
-        ("linmemo" :: Printf.sprintf "shape=%dx%d" rows cols :: key_parts)
+      Cache.key (kind :: Printf.sprintf "shape=%dx%d" rows cols :: key_parts)
     in
-    let cold () =
-      let memo = Estimator_linear.memo_create ~rows ~cols in
+    let read next =
+      if field next "shape" <> [ string_of_int rows; string_of_int cols ] then
+        fail "linmemo shape mismatch";
+      let memo = fresh () in
+      for _ = 1 to int_of (one (field next "count")) do
+        match next () with
+        | [ idx; v ] ->
+          Estimator_linear.memo_set memo ~idx:(int_of idx) ~value:(float_of v)
+        | _ -> fail "bad linmemo entry"
+      done;
+      memo
+    in
+    match Cache.find c ~kind ~version ~key (parse kind read) with
+    | Some memo -> f memo
+    | None ->
+      let memo = fresh () in
       let r = f memo in
-      Cache.put c ~kind:"linmemo" ~version:linmemo_version ~key
-        (render_memo memo);
-      r
-    in
-    match Cache.get c ~kind:"linmemo" ~version:linmemo_version ~key with
-    | Some payload -> (
-      match parse_memo payload ~rows ~cols with
-      | memo -> f memo
-      | exception Parse _ -> cold ())
-    | None -> cold ())
+      let entries = Estimator_linear.memo_to_list memo in
+      Cache.put c ~kind ~version ~key
+        (render kind @@ fun line ->
+         line [ "shape"; string_of_int rows; string_of_int cols ];
+         line [ "count"; string_of_int (List.length entries) ];
+         List.iter (fun (idx, v) -> line [ string_of_int idx; hex v ]) entries);
+      r)

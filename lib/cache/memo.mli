@@ -1,6 +1,6 @@
 (** Cache-backed memoization of the estimator pipeline's shared work.
 
-    Three artifact kinds are content-addressed in a {!Cache.t}:
+    Four artifact kinds are content-addressed in a {!Cache.t}:
 
     - [chars] — full-library characterization tables
       ({!Rgleak_cells.Characterize.characterize_library}), serialized
@@ -8,19 +8,25 @@
       round-trips every float bit-for-bit);
     - [rgcorr] — the RG correlation structure's F and per-cell-pair
       covariance tables ({!Rgleak_core.Rg_correlation.tables});
+    - [deltacov] — the delta estimator's packed per-(type-pair,
+      distance-bin) covariance tables;
     - [linmemo] — the linear estimator's per-offset F memo
       ({!Rgleak_core.Estimator_linear.memo}).
 
-    Floats inside the [rgcorr]/[linmemo] payloads are printed as hex
-    float literals ([%h]), so a cache hit replays the {e identical}
-    bits the cold run computed — cached and uncached runs are
-    bit-identical by construction.
+    All four go through one get-or-compute path: {!Cache.find} with the
+    kind's decoder, and on a miss compute then {!Cache.put}.  The
+    [rgcorr], [deltacov] and [linmemo] payloads share one line-oriented
+    layout (a [rgleak-<kind> 1] header, one line of words per field,
+    [end]) with floats printed as hex literals ([%h]), so a cache hit
+    replays the {e identical} bits the cold run computed — cached and
+    uncached runs are bit-identical by construction.
 
-    Every deserializer is defensive: a payload that passed the store's
-    integrity check but no longer parses (e.g. written by code with a
-    mismatched notion of the format, which the kind version should
-    prevent) is treated as a miss and recomputed — the cache never
-    turns into a crash or a wrong result. *)
+    A payload that passed the store's integrity check but does not
+    decode (e.g. written by code with a mismatched notion of the
+    format, which the kind version should prevent) is a corrupt entry:
+    {!Cache.find} deletes and reports it, counts a miss, and the value
+    is recomputed and stored again — the cache never turns into a crash
+    or a wrong result. *)
 
 val library_fingerprint : unit -> string
 (** Digest of the compiled-in cell library's structure (names, state

@@ -63,17 +63,6 @@ let of_string text =
     { width; height; positions }
   | _ -> raise (Format_error "truncated placement file")
 
-let save ~path t =
-  let oc = open_out path in
-  output_string oc (to_string t);
-  close_out oc
-
-let load ~path =
-  let ic = open_in path in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  of_string text
-
 let of_placed placed =
   let n = Netlist.size placed.Placer.netlist in
   {

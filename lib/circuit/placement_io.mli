@@ -25,8 +25,6 @@ type t = {
 
 val to_string : t -> string
 val of_string : string -> t
-val save : path:string -> t -> unit
-val load : path:string -> t
 
 val of_placed : Placer.placed -> t
 (** Extracts the placement of an already-placed design. *)

@@ -221,12 +221,6 @@ let parse_string text =
     instances = List.rev !instances;
   }
 
-let parse_file path =
-  let ic = open_in path in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  parse_string text
-
 (* ---------- printer ---------- *)
 
 let to_string t =

@@ -43,7 +43,6 @@ type t = {
 exception Parse_error of { line : int; message : string }
 
 val parse_string : string -> t
-val parse_file : string -> t
 val to_string : t -> string
 
 val to_netlist : t -> Netlist.t

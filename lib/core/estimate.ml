@@ -62,22 +62,24 @@ let finish ~with_vt ~method_used ~n (mean, variance) =
   { mean; variance; std = sqrt (Float.max 0.0 variance); method_used; n;
     vt_mean_factor }
 
-let run ?lin_memo ?(method_ = Auto) ?(with_vt = false) ctx (spec : spec) =
+let resolve_method ?(method_ = Auto) ctx (spec : spec) =
+  match method_ with
+  | Auto ->
+    if spec.n <= 2000 then Linear
+    else if
+      Estimator_integral.polar_applicable ~corr:ctx.corr ~width:spec.width
+        ~height:spec.height
+    then Integral_polar
+    else Integral_2d
+  | m -> m
+
+let run ?lin_memo ?method_ ?(with_vt = false) ctx (spec : spec) =
   if spec.n <= 0 then invalid_arg "Estimate.run: need a positive gate count";
   (* Integer gate counts round the histogram, so allow small drift; a
      gross mismatch means the caller built the context for another mix. *)
   if Histogram.distance_l1 ctx.histogram spec.histogram > 0.1 then
     invalid_arg "Estimate.run: spec histogram differs from the context's";
-  let polar_ok =
-    Estimator_integral.polar_applicable ~corr:ctx.corr ~width:spec.width
-      ~height:spec.height
-  in
-  let method_ =
-    match method_ with
-    | Auto -> if spec.n <= 2000 then Linear else if polar_ok then Integral_polar else Integral_2d
-    | m -> m
-  in
-  match method_ with
+  match resolve_method ?method_ ctx spec with
   | Auto -> assert false
   | Linear ->
     let layout = Layout.of_dims ~n:spec.n ~width:spec.width ~height:spec.height in

@@ -67,6 +67,13 @@ type result = {
           the context was asked to (see [with_vt] below) *)
 }
 
+val resolve_method :
+  ?method_:method_selector -> context -> spec -> method_selector
+(** The tier {!run} uses for a selector (default [Auto]): [Auto]
+    resolves to [Linear] up to 2000 gates, else to [Integral_polar]
+    when the correlation range fits the die, else to [Integral_2d];
+    every other selector is returned unchanged. *)
+
 val run :
   ?lin_memo:Estimator_linear.memo ->
   ?method_:method_selector ->

@@ -188,20 +188,14 @@ let test_rgcorr_cold_warm_identical () =
         (Rg_correlation.cell_pair_covariance warm ~ci:0 ~cj:0 ~rho_l))
     [ 0.25; 0.75 ]
 
-let linear_result ?cache ~dir_tag () =
-  ignore dir_tag;
-  let chars = Characterize.default_library () in
-  let histogram = Histogram.of_weights asic_mix in
-  let p = 0.5 in
-  let rg = Random_gate.create ~chars ~histogram ~p () in
-  let rgcorr =
-    Memo.correlation ?cache ~chars ~rg ~p ~key_parts:[ "lin-test" ] ()
-  in
-  let corr =
-    Corr_model.create
-      (Corr_model.Spherical { dmax = 120.0 })
-      Process_param.default_channel_length
-  in
+let spherical_corr =
+  Corr_model.create
+    (Corr_model.Spherical { dmax = 120.0 })
+    Process_param.default_channel_length
+
+let linear_result ?cache ?(rgcorr_cache = cache) () =
+  let rgcorr = build_rgcorr ?cache:rgcorr_cache ~key_parts:[ "lin-test" ] () in
+  let corr = spherical_corr in
   let layout = Layout.of_dims ~n:300 ~width:70.0 ~height:70.0 in
   Memo.with_linear_memo ?cache ~key_parts:[ "lin-test"; "spherical:120" ]
     ~rows:(Layout.rows layout) ~cols:layout.Layout.cols (fun memo ->
@@ -209,9 +203,9 @@ let linear_result ?cache ~dir_tag () =
 
 let test_linear_memo_cold_warm_identical () =
   let c = Cache.open_ ~dir:(fresh_dir ()) () in
-  let cold = linear_result ~cache:c ~dir_tag:"a" () in
+  let cold = linear_result ~cache:c () in
   let stats_cold = Cache.stats c in
-  let warm = linear_result ~cache:c ~dir_tag:"b" () in
+  let warm = linear_result ~cache:c () in
   let stats_warm = Cache.stats c in
   Alcotest.(check bool)
     "warm run hit the store" true
@@ -222,7 +216,7 @@ let test_linear_memo_cold_warm_identical () =
     "variance bit-identical" cold.Estimator_linear.variance
     warm.Estimator_linear.variance;
   (* And both match the never-cached computation. *)
-  let plain = linear_result ~dir_tag:"c" () in
+  let plain = linear_result () in
   Alcotest.(check (float 0.0))
     "cached equals uncached" plain.Estimator_linear.mean
     cold.Estimator_linear.mean
@@ -230,9 +224,9 @@ let test_linear_memo_cold_warm_identical () =
 let test_poisoned_memo_recovers () =
   let dir = fresh_dir () in
   let c = Cache.open_ ~dir () in
-  let cold = linear_result ~cache:c ~dir_tag:"a" () in
+  let cold = linear_result ~cache:c () in
   corrupt_entry_on_disk dir;
-  let after = linear_result ~cache:c ~dir_tag:"b" () in
+  let after = linear_result ~cache:c () in
   Alcotest.(check bool)
     "corruption detected" true
     ((Cache.stats c).Cache.corrupt > 0);
@@ -262,6 +256,88 @@ let test_characterization_cached () =
             Alcotest.failf "cell %d state %d: cached moments differ" i s)
         cc.Characterize.states)
     cold
+
+(* The four memoized kinds.  Each run sends only its own kind through
+   the given handle and returns the value's exact bits as a string. *)
+let memo_kinds =
+  let bits xs = String.concat " " (List.map (Printf.sprintf "%h") xs) in
+  [
+    ( "chars",
+      fun cache ->
+        Rgleak_cells.Char_io.to_string
+          (Memo.characterization ?cache ~temp_celsius:None ()) );
+    ( "rgcorr",
+      fun cache ->
+        Rg_correlation.table_fingerprint
+          (build_rgcorr ?cache ~key_parts:[ "kinds" ] ()) );
+    ( "deltacov",
+      fun cache ->
+        let rgcorr = build_rgcorr ~key_parts:[ "kinds" ] () in
+        let used =
+          (Rg_correlation.tables rgcorr).Rg_correlation.t_support_cells
+        in
+        let cov =
+          Memo.delta_tables ?cache ~corr:spherical_corr ~rgcorr ~used
+            ~distance_points:16 ~dstep:4.0 ~key_parts:[ "kinds" ] ()
+        in
+        bits (List.init (Bigarray.Array1.dim cov) (Bigarray.Array1.get cov)) );
+    ( "linmemo",
+      fun cache ->
+        let r = linear_result ?cache ~rgcorr_cache:None () in
+        bits [ r.Estimator_linear.mean; r.Estimator_linear.variance ] );
+  ]
+
+(* The key of the only entry of [kind] stored under [dir]. *)
+let only_key dir kind =
+  let ls d = Array.to_list (Sys.readdir d) in
+  let kdir = Filename.concat dir (kind ^ "-v1") in
+  match List.concat_map (fun s -> ls (Filename.concat kdir s)) (ls kdir) with
+  | [ file ] -> Filename.chop_suffix file ".rgc"
+  | files ->
+    Alcotest.failf "%s: want one entry, found %d" kind (List.length files)
+
+let test_memo_kinds_cold_warm () =
+  List.iter
+    (fun (kind, run) ->
+      let c = Cache.open_ ~dir:(fresh_dir ()) () in
+      let cold = run (Some c) in
+      let warm = run (Some c) in
+      let s = Cache.stats c in
+      Alcotest.(check (pair int int))
+        (kind ^ ": one miss, then one hit") (1, 1)
+        (s.Cache.misses, s.Cache.hits);
+      Alcotest.(check string) (kind ^ ": warm bit-identical") cold warm;
+      Alcotest.(check string)
+        (kind ^ ": cached equals uncached") (run None) cold)
+    memo_kinds
+
+(* A payload that passes the integrity check but does not decode is a
+   corrupt miss, never a hit: it is reported, recomputed to the uncached
+   value and overwritten, so the next call hits. *)
+let test_memo_kinds_undecodable () =
+  List.iter
+    (fun (kind, run) ->
+      let dir = fresh_dir () in
+      let diags = ref [] in
+      let c = Cache.open_ ~on_corrupt:(fun d -> diags := d :: !diags) ~dir () in
+      let plain = run None in
+      ignore (run (Some c));
+      Cache.put c ~kind ~version:1 ~key:(only_key dir kind) "garbage\n";
+      Cache.reset_stats c;
+      let v = run (Some c) in
+      let s = Cache.stats c in
+      Alcotest.(check (list int))
+        (kind ^ ": hits, misses, corrupt") [ 0; 1; 1 ]
+        [ s.Cache.hits; s.Cache.misses; s.Cache.corrupt ];
+      (match !diags with
+      | [ Guard.Invalid_input msg ] when contains msg "corrupt cache entry" ->
+        ()
+      | _ -> Alcotest.failf "%s: want one corrupt-entry diagnostic" kind);
+      Alcotest.(check string) (kind ^ ": recomputed value") plain v;
+      Alcotest.(check string) (kind ^ ": rewritten entry hits") plain
+        (run (Some c));
+      Alcotest.(check int) (kind ^ ": one hit") 1 (Cache.stats c).Cache.hits)
+    memo_kinds
 
 (* --- empty-input guards --------------------------------------------- *)
 
@@ -496,6 +572,10 @@ let suite =
         test_linear_memo_cold_warm_identical;
       Alcotest.test_case "poisoned memo entry recovers" `Quick
         test_poisoned_memo_recovers;
+      Alcotest.test_case "every memo kind hits warm, bit-identically" `Quick
+        test_memo_kinds_cold_warm;
+      Alcotest.test_case "undecodable memo payloads are corrupt misses" `Quick
+        test_memo_kinds_undecodable;
       Alcotest.test_case "characterization round-trips through the cache"
         `Quick test_characterization_cached;
       Alcotest.test_case "empty mix is Invalid_input" `Quick

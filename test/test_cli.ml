@@ -66,10 +66,61 @@ let test_invalid_input () =
     [ "estimate"; "-n"; "500"; "-p"; "1.5" ];
   check_exit "tail shift beyond 30 nm" 2
     [ "tail"; "-n"; "100"; "--budget"; "1"; "--shift"; "31" ];
-  check_exit "unwritable validate report" 2
-    [ "validate"; "--sweep"; "quick"; "--json"; "/nonexistent/v.json" ];
+  (* An unwritable output path fails before any work: the sweep never
+     runs, so nothing reaches stdout. *)
+  let out = Filename.temp_file "rgleak_cli" ".out" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out)
+    (fun () ->
+      Alcotest.(check int)
+        "unwritable validate report" 2
+        (run ~out
+           [ "validate"; "--sweep"; "quick"; "--json"; "/nonexistent/v.json" ]);
+      Alcotest.(check string) "no sweep before the path check" ""
+        (read_file out));
   check_exit "unwritable characterization" 2
     [ "characterize"; "--save"; "/nonexistent/c.txt" ];
+  (* Missing or malformed input files are invalid input too. *)
+  let file ext text =
+    let f = Filename.temp_file "rgleak_cli" ext in
+    Out_channel.with_open_bin f (fun oc -> output_string oc text);
+    f
+  in
+  let garbage = file ".txt" "garbage (\n" in
+  let bench = file ".bench" "INPUT(a)\nOUTPUT(b)\nb = NOT(a)\n" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ garbage; bench ])
+    (fun () ->
+      List.iter
+        (fun (name, args) -> check_exit name 2 args)
+        [
+          ( "missing --char",
+            [ "estimate"; "-n"; "100"; "--char"; "/nonexistent/c.txt" ] );
+          ("malformed --char", [ "estimate"; "-n"; "100"; "--char"; garbage ]);
+          ( "missing --bench-file",
+            [ "signoff"; "--bench-file"; "/nonexistent/x.bench" ] );
+          ("malformed --bench-file", [ "signoff"; "--bench-file"; garbage ]);
+          ( "missing --verilog-file",
+            [ "signoff"; "--verilog-file"; "/nonexistent/x.v" ] );
+          ( "malformed --verilog-file",
+            [ "signoff"; "--verilog-file"; garbage ] );
+          ( "unwritable --save-placement",
+            [ "signoff"; "--benchmark"; "c432"; "--save-placement";
+              "/nonexistent/p.txt" ] );
+          ( "--placement with --benchmark",
+            [ "signoff"; "--benchmark"; "c432"; "--placement"; bench ] );
+          ( "missing --placement",
+            [ "signoff"; "--bench-file"; bench; "--placement";
+              "/nonexistent/p.txt" ] );
+          ( "malformed --placement",
+            [ "signoff"; "--bench-file"; bench; "--placement"; garbage ] );
+          ( "unwritable tail report",
+            [ "tail"; "-n"; "100"; "--budget"; "1"; "--json";
+              "/nonexistent/t.json" ] );
+          ( "unwritable optimize report",
+            [ "optimize"; "-n"; "100"; "--budget"; "1"; "--json";
+              "/nonexistent/o.json" ] );
+        ]);
   (* Early flags fail before any work, worded for the flag. *)
   let err = Filename.temp_file "rgleak_cli" ".err" in
   Fun.protect
