@@ -529,6 +529,15 @@ let run_timing () =
     ~alloc:("minor_words_per_sample", float_of_int count)
     ~equal:( = )
     (fun () -> Mc_reference.moments_stream mc ~seed:910 ~count);
+  (* The MC setup the row above excludes: the gate-to-gate correlation
+     matrix and its Cholesky factor, serial at any job count.  Marshal
+     images compare every float of the prepared sampler — the factor
+     included — bit for bit. *)
+  bench ~estimator:"cholesky" ~n:n_mc
+    ~equal:(fun a b -> Marshal.to_string a [] = Marshal.to_string b [])
+    (fun () ->
+      Mc_reference.prepare ~chars ~corr:corr_default
+        ~p:(Estimate.signal_p ctx) placed_mc);
   (* Library characterization across the pool. *)
   let l_points = 33 and mc_samples = if !fast then 1_000 else 5_000 in
   bench ~estimator:"characterize" ~n:Library.size

@@ -982,25 +982,34 @@ let sleep_cmd =
 
 (* ---------- golden regression (validate, tail, optimize) ---------- *)
 
-(* Diffs [current] against the committed baseline at [--golden path],
-   if given, and prints the verdict; false on breaking drift. *)
-let golden_ok golden current =
-  let module Golden_diff = Rgleak_valid.Golden_diff in
-  match golden with
-  | None -> true
-  | Some path ->
-    let baseline =
-      try Json.parse_file path with
-      | Sys_error msg -> Guard.invalid msg
-      | Json.Parse_error msg ->
-        Guard.invalid (Printf.sprintf "bad golden file %s: %s" path msg)
-    in
-    let diff =
-      try Golden_diff.compare ~baseline ~current
-      with Json.Parse_error msg ->
+(* Reads and checks the baseline at [--golden path], if given.  Called
+   before any work, so a missing or malformed baseline is invalid input
+   (exit 2) instead of a failure after the sweep has already printed. *)
+let load_golden golden =
+  Option.map
+    (fun path ->
+      let baseline =
+        try Json.parse_file path with
+        | Sys_error msg -> Guard.invalid msg
+        | Json.Parse_error msg ->
+          Guard.invalid (Printf.sprintf "bad golden file %s: %s" path msg)
+      in
+      match Json.mem "schema" baseline with
+      | Some (Json.Str _) -> baseline
+      | _ ->
         Guard.invalid
-          (Printf.sprintf "golden file %s is not a report: %s" path msg)
-    in
+          (Printf.sprintf "golden file %s is not a report: no schema string"
+             path))
+    golden
+
+(* Diffs [current] against the loaded baseline, if any, and prints the
+   verdict; false on breaking drift. *)
+let golden_ok baseline current =
+  let module Golden_diff = Rgleak_valid.Golden_diff in
+  match baseline with
+  | None -> true
+  | Some baseline ->
+    let diff = Golden_diff.compare ~baseline ~current in
     Format.printf "%a" Golden_diff.pp diff;
     diff.Golden_diff.severity <> Golden_diff.Breaking
 
@@ -1050,6 +1059,7 @@ let validate_cmd =
     with_telemetry tr @@ fun () ->
     Option.iter check_output json;
     let sweep = Experiment.sweep_named sweep_name in
+    let golden = load_golden golden in
     let report = Experiment.run ?jobs ~seed sweep in
     Format.printf "%a" Experiment.pp_report report;
     let doc = Experiment.to_json report in
@@ -1145,6 +1155,7 @@ let tail_cmd =
            ]
           @ opt_field "shift" jnum shift)
     in
+    let golden = load_golden golden in
     let chars = chars_of char_file in
     let p =
       p_or_maximizing chars (Histogram.of_weights s.Batch.s_mix) s.Batch.s_p
@@ -1274,6 +1285,7 @@ let optimize_cmd =
         Guard.invalid
           (Printf.sprintf "unknown flavor %S (expected lvt, svt or hvt)" start)
     in
+    let golden = load_golden golden in
     let histogram = Histogram.of_weights s.Batch.s_mix in
     let corr_model = corr_model s.Batch.s_family in
     let chars = chars_of char_file in

@@ -1,51 +1,91 @@
 exception Not_positive_definite of int
 
+(* Outer-product (right-looking) order on one flat row-major array that
+   starts as the lower triangle of [a] and ends as the factor.  Step k
+   takes pivot k, divides column k below it, then subtracts l_ik·l_jk
+   from every trailing entry (i >= j > k).  Each entry thus still
+   computes a_ij − l_i0·l_j0 − l_i1·l_j1 − … in ascending k and divides
+   once — the operation sequence of the textbook i-j-k loop, hence the
+   same bits — but the inner loop runs along a row over independent
+   entries instead of down one serial chain of subtractions.
+
+   Steps go in pairs (k, k+1): column k+1 first takes step k's update
+   alone, then one pass over the trailing block subtracts both terms in
+   turn, which halves the loads and stores of that O(n³) sweep.  Pivot
+   k and row k's norm are checked at step k, before anything of a later
+   row, so the first failure raises the same index as the i-j-k loop. *)
 let decompose_inner ~on_bad_pivot a =
   let n = Matrix.rows a in
   if Matrix.cols a <> n then invalid_arg "Cholesky: matrix must be square";
-  let l = Matrix.create ~rows:n ~cols:n in
+  let w = Array.make (n * n) 0.0 in
   for i = 0 to n - 1 do
     for j = 0 to i do
-      let s = ref (Matrix.get a i j) in
-      for k = 0 to j - 1 do
-        s := !s -. (Matrix.get l i k *. Matrix.get l j k)
-      done;
-      if i = j then begin
-        match on_bad_pivot with
-        | None ->
-          if !s <= 0.0 then raise (Not_positive_definite i);
-          Matrix.set l i i (sqrt !s)
-        | Some tol ->
-          (* A pivot slightly below zero is numerical semi-definiteness;
-             one substantially below zero means the matrix is indefinite
-             and no Cholesky-like factor exists — refuse rather than
-             silently produce an inflated factor. *)
-          if !s < -.(1e6 *. tol) then raise (Not_positive_definite i);
-          if !s > tol then Matrix.set l i i (sqrt !s)
-          else Matrix.set l i i 0.0
-      end
-      else begin
-        let ljj = Matrix.get l j j in
-        (* A zero pivot in semidefinite mode means the row is linearly
-           dependent; its off-diagonal contribution is zero. *)
-        Matrix.set l i j (if ljj = 0.0 then 0.0 else !s /. ljj)
-      end
-    done;
-    (* Row-norm invariant: (L Lᵀ)ᵢᵢ must reproduce aᵢᵢ.  Indefinite
+      w.((i * n) + j) <- Matrix.get a i j
+    done
+  done;
+  (* Step k: take pivot k, then divide column k below it and copy it
+     into [col], where the trailing update reads it contiguously. *)
+  let column k col =
+    let s = w.((k * n) + k) in
+    let lkk =
+      match on_bad_pivot with
+      | None ->
+        if s <= 0.0 then raise (Not_positive_definite k);
+        sqrt s
+      | Some tol ->
+        (* A pivot slightly below zero is numerical semi-definiteness;
+           one substantially below zero means the matrix is indefinite
+           and no Cholesky-like factor exists — refuse rather than
+           silently produce an inflated factor. *)
+        if s < -.(1e6 *. tol) then raise (Not_positive_definite k);
+        if s > tol then sqrt s else 0.0
+    in
+    w.((k * n) + k) <- lkk;
+    (* Row-norm invariant: (L Lᵀ)ₖₖ must reproduce aₖₖ.  Indefinite
        inputs in tolerant mode inflate rows through tiny pivots; catch
        that here instead of returning a corrupt factor. *)
     (match on_bad_pivot with
     | None -> ()
     | Some _ ->
       let row_norm2 = ref 0.0 in
-      for k = 0 to i do
-        row_norm2 := !row_norm2 +. (Matrix.get l i k *. Matrix.get l i k)
+      for m = 0 to k do
+        let lkm = w.((k * n) + m) in
+        row_norm2 := !row_norm2 +. (lkm *. lkm)
       done;
-      let aii = Matrix.get a i i in
-      if !row_norm2 > (aii *. 1.000001) +. 1e-6 then
-        raise (Not_positive_definite i))
+      if !row_norm2 > (Matrix.get a k k *. 1.000001) +. 1e-6 then
+        raise (Not_positive_definite k));
+    for i = k + 1 to n - 1 do
+      (* A zero pivot in semidefinite mode means the row is linearly
+         dependent; its off-diagonal contribution is zero. *)
+      let lik = if lkk = 0.0 then 0.0 else w.((i * n) + k) /. lkk in
+      w.((i * n) + k) <- lik;
+      col.(i) <- lik
+    done
+  in
+  let c0 = Array.make n 0.0 and c1 = Array.make n 0.0 in
+  let k = ref 0 in
+  while !k + 1 < n do
+    let k0 = !k in
+    let k1 = k0 + 1 in
+    column k0 c0;
+    for i = k1 to n - 1 do
+      w.((i * n) + k1) <- w.((i * n) + k1) -. (c0.(i) *. c0.(k1))
+    done;
+    column k1 c1;
+    for i = k1 + 1 to n - 1 do
+      let li0 = c0.(i) and li1 = c1.(i) and row = i * n in
+      for j = k1 + 1 to i do
+        Array.unsafe_set w (row + j)
+          (Array.unsafe_get w (row + j)
+          -. (li0 *. Array.unsafe_get c0 j)
+          -. (li1 *. Array.unsafe_get c1 j))
+      done
+    done;
+    k := k0 + 2
   done;
-  l
+  (* An odd n leaves the last pivot, which has no trailing block. *)
+  if !k < n then column !k c0;
+  Matrix.of_row_major ~rows:n ~cols:n w
 
 let decompose a = decompose_inner ~on_bad_pivot:None a
 

@@ -22,24 +22,70 @@ let get m i j =
     invalid_arg "Matrix.get: index out of bounds";
   m.data.((i * m.cols) + j)
 
+let of_row_major ~rows ~cols data =
+  if rows < 0 || cols < 0 then
+    invalid_arg "Matrix.of_row_major: negative dimension";
+  if Array.length data <> rows * cols then
+    invalid_arg "Matrix.of_row_major: array length is not rows * cols";
+  { rows; cols; data }
+
 (* Lower-triangular matrix-vector product into caller storage:
    out_i = Σ_{k<=i} m[i,k]·z[k], accumulated in ascending k.  Lives
    here so the loop runs on the raw data array — without flambda a
    cross-module element accessor boxes every returned float, which in
-   per-replica hot loops costs one minor allocation per multiply-add. *)
+   per-replica hot loops costs one minor allocation per multiply-add.
+
+   Rows go four at a time with one accumulator each: a single row's
+   sum is a serial chain of dependent adds, four interleaved chains
+   keep the FPU busy.  Each accumulator still starts at 0.0 and adds
+   its own row in ascending k, so every output has exactly the add
+   sequence of the row-at-a-time loop and the same bits. *)
 let lower_mul_vec_into m z out =
-  let n = m.rows in
+  let n = m.rows and c = m.cols in
+  if c < n then
+    invalid_arg "Matrix.lower_mul_vec_into: fewer columns than rows";
   if Array.length z < n || Array.length out < n then
     invalid_arg "Matrix.lower_mul_vec_into: vector shorter than the matrix";
   let data = m.data in
-  for i = 0 to n - 1 do
-    let row = i * m.cols in
-    Array.unsafe_set out i 0.0;
+  let i0 = ref 0 in
+  while !i0 + 3 < n do
+    let i = !i0 in
+    let r0 = i * c in
+    let r1 = r0 + c in
+    let r2 = r1 + c in
+    let r3 = r2 + c in
+    let s0 = ref 0.0 and s1 = ref 0.0 and s2 = ref 0.0 and s3 = ref 0.0 in
     for k = 0 to i do
-      Array.unsafe_set out i
-        (Array.unsafe_get out i
-        +. (Array.unsafe_get data (row + k) *. Array.unsafe_get z k))
-    done
+      let zk = Array.unsafe_get z k in
+      s0 := !s0 +. (Array.unsafe_get data (r0 + k) *. zk);
+      s1 := !s1 +. (Array.unsafe_get data (r1 + k) *. zk);
+      s2 := !s2 +. (Array.unsafe_get data (r2 + k) *. zk);
+      s3 := !s3 +. (Array.unsafe_get data (r3 + k) *. zk)
+    done;
+    (* The corner the shared loop stops short of: rows i+1..i+3 reach
+       column i+1, i+2, i+3 in turn, still in ascending k per row. *)
+    let z1 = Array.unsafe_get z (i + 1) in
+    let z2 = Array.unsafe_get z (i + 2) in
+    let z3 = Array.unsafe_get z (i + 3) in
+    s1 := !s1 +. (Array.unsafe_get data (r1 + i + 1) *. z1);
+    s2 := !s2 +. (Array.unsafe_get data (r2 + i + 1) *. z1);
+    s3 := !s3 +. (Array.unsafe_get data (r3 + i + 1) *. z1);
+    s2 := !s2 +. (Array.unsafe_get data (r2 + i + 2) *. z2);
+    s3 := !s3 +. (Array.unsafe_get data (r3 + i + 2) *. z2);
+    s3 := !s3 +. (Array.unsafe_get data (r3 + i + 3) *. z3);
+    Array.unsafe_set out i !s0;
+    Array.unsafe_set out (i + 1) !s1;
+    Array.unsafe_set out (i + 2) !s2;
+    Array.unsafe_set out (i + 3) !s3;
+    i0 := i + 4
+  done;
+  for i = !i0 to n - 1 do
+    let row = i * c in
+    let s = ref 0.0 in
+    for k = 0 to i do
+      s := !s +. (Array.unsafe_get data (row + k) *. Array.unsafe_get z k)
+    done;
+    Array.unsafe_set out i !s
   done
 
 let set m i j v =

@@ -11,12 +11,20 @@ val rows : t -> int
 val cols : t -> int
 val get : t -> int -> int -> float
 
+val of_row_major : rows:int -> cols:int -> float array -> t
+(** [of_row_major ~rows ~cols data] adopts [data] (entry [(i, j)] at
+    index [i * cols + j]) as the matrix's storage without copying it:
+    the caller hands the array over and must not write to it again.
+    Raises [Invalid_argument] unless [Array.length data = rows * cols]. *)
+
 (** [lower_mul_vec_into m z out] sets [out.(i) = Σ_{k<=i} m[i,k]·z.(k)]
-    for each row [i], accumulating in ascending [k] — the
+    for each row [i], accumulating from [0.0] in ascending [k] — the
     lower-triangular product used to color Gaussian samples through a
     Cholesky factor.  Allocation-free: results land in [out] (length >=
-    the row count, like [z]).  Raises [Invalid_argument] on short
-    vectors. *)
+    the row count, like [z]; [out] must not be [z]).  Raises
+    [Invalid_argument] on short vectors and on a matrix with fewer
+    columns than rows, whose lower triangle would run past its
+    storage. *)
 val lower_mul_vec_into : t -> Vector.t -> Vector.t -> unit
 val set : t -> int -> int -> float -> unit
 val copy : t -> t

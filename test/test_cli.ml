@@ -437,6 +437,44 @@ let test_optimize_determinism () =
   Alcotest.(check string) "rerun byte-identical" a (go "b" 1);
   Alcotest.(check string) "jobs 4 byte-identical" a (go "j4" 4)
 
+(* ---------- golden baselines ---------- *)
+
+(* A missing or malformed --golden baseline is invalid input found
+   before any work: exit 2 with nothing on stdout, for every command
+   that takes one. *)
+let test_golden_read_first () =
+  with_temp_dir @@ fun dir ->
+  let write name body =
+    let path = Filename.concat dir name in
+    let oc = open_out_bin path in
+    output_string oc body;
+    close_out oc;
+    path
+  in
+  let goldens =
+    [
+      ("missing", Filename.concat dir "nonexistent.json");
+      ("malformed", write "malformed.json" "{\"schema\": ");
+      ("not a report", write "schemaless.json" "{\"points\": []}");
+    ]
+  in
+  let out = Filename.concat dir "stdout" in
+  List.iter
+    (fun (cmd, args) ->
+      List.iter
+        (fun (kind, golden) ->
+          let name = Printf.sprintf "%s, %s golden" cmd kind in
+          Alcotest.(check int) (name ^ " exits 2") 2
+            (run ~out (args @ [ "--golden"; golden ]));
+          Alcotest.(check string) (name ^ " prints nothing") ""
+            (read_file out))
+        goldens)
+    [
+      ("validate", [ "validate"; "--sweep"; "quick" ]);
+      ("tail", tail_args);
+      ("optimize", optimize_args);
+    ]
+
 (* every run with --ledger appends one parseable rgleak-run/1 record *)
 let test_ledger_written () =
   with_temp_dir @@ fun dir ->
@@ -722,6 +760,11 @@ let () =
           case "injected delta fault exits 3" test_optimize_fault_exit;
           case "byte-identical across reruns and --jobs"
             test_optimize_determinism;
+        ] );
+      ( "golden",
+        [
+          case "missing or malformed --golden exits 2 before any work"
+            test_golden_read_first;
         ] );
       ( "ledger",
         [
